@@ -10,30 +10,23 @@ The recorded Certificate replays backwards by inverse steps.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycloNum
 from .formal import (
     INF,
-    ExpFactor,
     FormalType,
     Location,
     Problem,
-    RegularPart,
-    irregularity,
-    twist_local,
     types_equal,
 )
 from .puiseux import (
     Lser,
     PolarPart,
     cinv,
-    cmul,
     croot,
     polar_neg,
-    slope,
     solve_series,
     unramified_head,
 )
@@ -43,6 +36,7 @@ from .transforms import (
     TransformsError,
     fourier_global,
     fourier_inverse,
+    fourier_rank_prediction,
     mc_rank_prediction,
     middle_convolution,
     twist_global,
@@ -223,16 +217,10 @@ def normalize_problem(P: Problem) -> tuple[Problem, list[Step]]:
     if s_inf is not None and not s_inf.is_inf and any(l.is_inf for l in locs):
         finite_others.append(INF)  # old infinity becomes a finite point
 
-    needs_move = s_inf is not None and not s_inf.is_inf
     zero, one = Location.of(0), Location.of(1)
-    if not needs_move:
-        have_01 = any(l == zero for l in locs) and any(l == one for l in locs)
-        if s_inf is not None and have_01:
-            pass  # already normalized, no Moebius
-        elif s_inf is not None:
-            pass  # infinity fine; 0/1 filled in by apparent points below
-        # s_inf None: infinity not singular; made apparent below
-    else:
+    # with the special point (or no singular point) at infinity no Moebius
+    # move is needed: 0, 1 and infinity are filled in by apparent points
+    if s_inf is not None and not s_inf.is_inf:
         # choose destinations for 0 and 1 among the other singular points,
         # preferring to keep 0 and 1 where they are
         others = [l for l in P.locations() if not l == s_inf]
@@ -285,21 +273,6 @@ def _unramified_heads(t: FormalType) -> list[PolarPart]:
     return out
 
 
-def fourier_rank_prediction(P: Problem) -> int:
-    from .transforms import _zero_slope_blocks_with_exponent
-
-    r = P.rank()
-    total = 0
-    for loc, t in P.points:
-        if loc.is_inf:
-            for f in t.factors:
-                if slope(f.phi) > 1:
-                    total += irregularity(FormalType.make([f])) - f.rank()
-        else:
-            total += irregularity(t) + r - _zero_slope_blocks_with_exponent(t, Fraction(0))
-    return total
-
-
 def reduce_step(P: Problem):
     """One compound rank-decreasing move, or Stuck."""
     if rig_index(P) != 2:
@@ -341,8 +314,6 @@ def _reduce_case_a(P: Problem, tinf: FormalType, r: int):
             if any(not f.phi.is_zero() for f in tinf_t.factors):
                 continue  # infinity polar part not cancelled; MC inapplicable
             gammas = [g for g in _exponents_at(tinf_t) if g != 0]
-            if _scalar_candidate(tinf_t) is None and b_inf != 0:
-                pass
             for g in sorted(gammas):
                 predicted = mc_rank_prediction(Pt, g)
                 if predicted < r:
@@ -353,11 +324,6 @@ def _reduce_case_a(P: Problem, tinf: FormalType, r: int):
                     steps.append(Step("mc", g, out.rank()))
                     return out, steps
     return Stuck(r)
-
-
-def _scalar_candidate(t: FormalType):
-    exps = _exponents_at(t)
-    return exps[0] if len(exps) == 1 else None
 
 
 def _reduce_case_b(P: Problem, tinf: FormalType, r: int):

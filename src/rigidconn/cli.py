@@ -20,12 +20,11 @@ from .adk import (
     NotRigid,
     ReplayMismatch,
     Step,
-    Undecided,
     replay_certificate,
     run_adk,
 )
-from .cyclo import CycloNum, UndecidedSign, minimize_level
-from .enumerate import enumerate_candidates
+from .cyclo import CycloNum, UndecidedSign, _join_terms, format_cyclo, minimize_level
+from .enumerate import classify_candidate, enumerate_candidates
 from .formal import (
     INF,
     FormalError,
@@ -35,9 +34,9 @@ from .formal import (
     RegularPart,
 )
 from .puiseux import PolarPart
-from .radicals import RadicalCoeff, TOWER, cmul, cpow, croot
+from .radicals import TOWER, RadicalCoeff, RadicalError, cadd, cmul, cpow, croot
 from .rigidity import rig_index
-from .stokes import Arc, BoundaryDirection, FULL_CIRCLE, order_arcs
+from .stokes import FULL_CIRCLE, order_arcs
 from .transforms import (
     RankOneData,
     TransformsError,
@@ -176,6 +175,8 @@ def _parse_coeff_primary(tk: _Tokens):
         base = _parse_coeff_expr(tk)
         tk.expect("sym", ",")
         n = _parse_uint(tk)
+        if n < 1:
+            raise ParseError(ln, col, "root index must be positive")
         tk.expect("sym", ")")
         val = croot(base, n)
         if tk.peek()[:2] == ("sym", "^"):
@@ -214,14 +215,8 @@ def _parse_coeff_expr(tk: _Tokens):
         term = _parse_coeff_product(tk)
         if op == "-":
             term = cmul(term, CycloNum.from_rational(-1))
-        acc = _c_add(acc, term)
+        acc = cadd(acc, term)
     return acc
-
-
-def _c_add(a, b):
-    from .radicals import cadd
-
-    return cadd(a, b)
 
 
 def parse_coeff(text: str):
@@ -246,6 +241,8 @@ def _parse_polar_term(tk: _Tokens):
     tk.expect("sym", "(")
     tk.expect("sym", "-")
     num = _parse_uint(tk)
+    if num == 0:
+        tk.error("zero exponent numerator")
     den = 1
     if tk.peek()[:2] == ("sym", "/"):
         tk.next()
@@ -288,38 +285,11 @@ def parse_polar(text: str) -> PolarPart:
 # -- canonical printers ----------------------------------------------
 
 
-def _rational_str(q: Fraction) -> str:
-    return str(q)
-
-
-def _join_terms(parts: list[str]) -> str:
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
-
-
 def coeff_str(a) -> str:
     if isinstance(a, (int, Fraction)):
         a = CycloNum.from_rational(a)
     if isinstance(a, CycloNum):
-        m = minimize_level(a)
-        if m.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(m.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(_rational_str(c))
-            elif i == 1:
-                parts.append(f"{_rational_str(c)}*z({m.level})")
-            else:
-                parts.append(f"{_rational_str(c)}*z({m.level})^{i}")
-        return _join_terms(parts)
+        return format_cyclo(minimize_level(a))
     parts = []
     for mono, c in a.terms:
         cs = coeff_str(c)
@@ -375,44 +345,53 @@ def problem_to_dict(P: Problem) -> dict:
         for f in t.factors:
             reg = []
             for exp, size in f.reg.blocks:
-                if reg and reg[-1]["exp"] == _rational_str(exp):
+                if reg and reg[-1]["exp"] == str(exp):
                     reg[-1]["blocks"].append(size)
                 else:
-                    reg.append({"exp": _rational_str(exp), "blocks": [size]})
+                    reg.append({"exp": str(exp), "blocks": [size]})
             factors.append({"phi": polar_str(f.phi), "reg": reg})
         points.append({"loc": loc_str(loc), "factors": factors})
     return {"version": _PROBLEM_VERSION, "N": P.N, "points": points}
 
 
-def _check_fields(d: dict, allowed: set, where: str):
-    extra = set(d) - allowed
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON array", str: "a JSON string", int: "an integer"}
+
+
+def _typed(value, kind: type, what: str):
+    """value when it has the JSON type kind; a boolean is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise SemanticError(f"{what} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _check_fields(d, allowed: set, where: str):
+    extra = set(_typed(d, dict, where)) - allowed
     if extra:
         raise SemanticError(f"unknown fields {sorted(extra)} in {where}")
 
 
 def problem_from_dict(d: dict) -> Problem:
-    if not isinstance(d, dict):
-        raise SemanticError("problem document must be a JSON object")
+    _typed(d, dict, "problem document")
     _check_fields(d, {"version", "N", "points"}, "problem")
-    if d.get("version") != _PROBLEM_VERSION:
+    if _typed(d.get("version"), int, "version") != _PROBLEM_VERSION:
         raise SemanticError(f"unsupported version {d.get('version')!r}")
-    N = d.get("N")
-    if not isinstance(N, int) or N < 1:
+    N = _typed(d.get("N"), int, "N")
+    if N < 1:
         raise SemanticError("N must be a positive integer")
     points = []
-    for pt in d.get("points", []):
+    for pt in _typed(d.get("points", []), list, "points"):
         _check_fields(pt, {"loc", "factors"}, "point")
-        loc = parse_loc(pt["loc"])
+        loc = parse_loc(_typed(pt.get("loc"), str, "loc"))
         factors = []
-        for f in pt["factors"]:
+        for f in _typed(pt.get("factors"), list, "factors"):
             _check_fields(f, {"phi", "reg"}, "factor")
-            phi = parse_polar(f["phi"])
+            phi = parse_polar(_typed(f.get("phi"), str, "phi"))
             blocks = []
-            for r in f["reg"]:
+            for r in _typed(f.get("reg"), list, "reg"):
                 _check_fields(r, {"exp", "blocks"}, "regular part")
-                exp = Fraction(r["exp"])
-                for size in r["blocks"]:
-                    if not isinstance(size, int) or size < 1:
+                exp = _fraction_from_str(_typed(r.get("exp"), str, "exp"))
+                for size in _typed(r.get("blocks"), list, "blocks"):
+                    if _typed(size, int, "a block size") < 1:
                         raise SemanticError("block sizes must be positive integers")
                     blocks.append((exp, size))
             factors.append((phi, RegularPart.make(blocks)))
@@ -424,12 +403,15 @@ def problem_from_dict(d: dict) -> Problem:
         raise SemanticError(str(e)) from e
 
 
-def parse_problem(text: str) -> Problem:
+def _load_json(text: str):
     try:
-        d = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.lineno, e.colno, e.msg) from e
-    return problem_from_dict(d)
+
+
+def parse_problem(text: str) -> Problem:
+    return problem_from_dict(_load_json(text))
 
 
 def print_problem(P: Problem) -> str:
@@ -451,43 +433,56 @@ def step_to_dict(s: Step) -> dict:
         d["loc"] = loc_str(s.data)
     elif s.kind == "twist":
         d["points"] = [
-            {"loc": loc_str(l), "phi": polar_str(psi), "shift": _rational_str(b)}
+            {"loc": loc_str(l), "phi": polar_str(psi), "shift": str(b)}
             for l, psi, b in s.data.points
         ]
     elif s.kind == "mc":
-        d["chi_exponent"] = _rational_str(s.data)
+        d["chi_exponent"] = str(s.data)
     elif s.kind != "fourier":
         raise SemanticError(f"unknown step kind {s.kind!r}")
     d["predicted_rank"] = s.predicted_rank
     return d
 
 
+def _twist_data(entries) -> RankOneData:
+    """Rank-one twist data from a JSON array of {loc, phi, shift} points."""
+    pts = []
+    for pt in _typed(entries, list, "twist points"):
+        _check_fields(pt, {"loc", "phi", "shift"}, "twist point")
+        pts.append(
+            (
+                parse_loc(_typed(pt.get("loc"), str, "loc")),
+                parse_polar(_typed(pt.get("phi"), str, "phi")),
+                _fraction_from_str(_typed(pt.get("shift"), str, "shift")),
+            )
+        )
+    return RankOneData.make(pts)
+
+
 def step_from_dict(d: dict) -> Step:
-    kind = d.get("kind")
-    rank = d.get("predicted_rank")
-    if not isinstance(rank, int) or rank < 1:
+    kind = _typed(d, dict, "step").get("kind")
+    rank = _typed(d.get("predicted_rank"), int, "predicted_rank")
+    if rank < 1:
         raise SemanticError("predicted_rank must be a positive integer")
     if kind == "moebius":
         _check_fields(d, {"kind", "coeffs", "predicted_rank"}, "moebius step")
-        coeffs = [parse_coeff(c) for c in d["coeffs"]]
+        coeffs = [
+            parse_coeff(_typed(c, str, "a coefficient"))
+            for c in _typed(d.get("coeffs"), list, "coeffs")
+        ]
         if len(coeffs) != 4:
             raise SemanticError("moebius step needs 4 coefficients")
         return Step("moebius", tuple(coeffs), rank)
     if kind == "add_apparent":
         _check_fields(d, {"kind", "loc", "predicted_rank"}, "add_apparent step")
-        return Step("add_apparent", parse_loc(d["loc"]), rank)
+        return Step("add_apparent", parse_loc(_typed(d.get("loc"), str, "loc")), rank)
     if kind == "twist":
         _check_fields(d, {"kind", "points", "predicted_rank"}, "twist step")
-        pts = []
-        for pt in d["points"]:
-            _check_fields(pt, {"loc", "phi", "shift"}, "twist point")
-            pts.append(
-                (parse_loc(pt["loc"]), parse_polar(pt["phi"]), _fraction_from_str(pt["shift"]))
-            )
-        return Step("twist", RankOneData.make(pts), rank)
+        return Step("twist", _twist_data(d.get("points")), rank)
     if kind == "mc":
         _check_fields(d, {"kind", "chi_exponent", "predicted_rank"}, "mc step")
-        return Step("mc", _fraction_from_str(d["chi_exponent"]), rank)
+        chi = _typed(d.get("chi_exponent"), str, "chi_exponent")
+        return Step("mc", _fraction_from_str(chi), rank)
     if kind == "fourier":
         _check_fields(d, {"kind", "predicted_rank"}, "fourier step")
         return Step("fourier", None, rank)
@@ -504,21 +499,16 @@ def certificate_to_dict(C: Certificate) -> dict:
 
 
 def certificate_from_dict(d: dict) -> Certificate:
-    if not isinstance(d, dict):
-        raise SemanticError("certificate document must be a JSON object")
+    _typed(d, dict, "certificate document")
     _check_fields(d, {"version", "steps", "terminal", "origin"}, "certificate")
-    if d.get("version") != _PROBLEM_VERSION:
+    if _typed(d.get("version"), int, "version") != _PROBLEM_VERSION:
         raise SemanticError(f"unsupported version {d.get('version')!r}")
-    steps = tuple(step_from_dict(s) for s in d.get("steps", []))
-    return Certificate(steps, problem_from_dict(d["terminal"]), problem_from_dict(d["origin"]))
+    steps = tuple(step_from_dict(s) for s in _typed(d.get("steps", []), list, "steps"))
+    return Certificate(steps, problem_from_dict(d.get("terminal")), problem_from_dict(d.get("origin")))
 
 
 def parse_certificate(text: str) -> Certificate:
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(e.lineno, e.colno, e.msg) from e
-    return certificate_from_dict(d)
+    return certificate_from_dict(_load_json(text))
 
 
 def print_certificate(C: Certificate) -> str:
@@ -540,7 +530,7 @@ def _load_problem(path: str) -> Problem:
 
 def _arc_endpoint_json(x):
     if isinstance(x, Fraction):
-        return _rational_str(x)
+        return str(x)
     return {"center": float(x.center), "radius": float(x.radius)}
 
 
@@ -603,18 +593,9 @@ def _cmd_mc(args, out) -> int:
 def _cmd_twist(args, out) -> int:
     P = _load_problem(args.file)
     with open(args.twistfile, encoding="utf-8") as fh:
-        try:
-            d = json.loads(fh.read())
-        except json.JSONDecodeError as e:
-            raise ParseError(e.lineno, e.colno, e.msg) from e
+        d = _load_json(fh.read())
     _check_fields(d, {"points"}, "twist file")
-    pts = []
-    for pt in d.get("points", []):
-        _check_fields(pt, {"loc", "phi", "shift"}, "twist point")
-        pts.append(
-            (parse_loc(pt["loc"]), parse_polar(pt["phi"]), _fraction_from_str(pt["shift"]))
-        )
-    out.write(print_problem(twist_global(P, RankOneData.make(pts))))
+    out.write(print_problem(twist_global(P, _twist_data(d.get("points", [])))))
     return EXIT_OK
 
 
@@ -623,22 +604,12 @@ def _cmd_enumerate(args, out) -> int:
     pool = []
     if args.phi:
         with open(args.phi, encoding="utf-8") as fh:
-            try:
-                entries = json.loads(fh.read())
-            except json.JSONDecodeError as e:
-                raise ParseError(e.lineno, e.colno, e.msg) from e
+            entries = _load_json(fh.read())
         if not isinstance(entries, list):
             raise SemanticError("polar pool file must be a JSON array of polar expressions")
-        pool = [parse_polar(s) for s in entries]
+        pool = [parse_polar(_typed(s, str, "a polar expression")) for s in entries]
     for P in enumerate_candidates(locations, pool, args.order, args.rank):
-        rig = rig_index(P)
-        verdict = "not_rigid"
-        if rig == 2:
-            res = run_adk(P, args.max_steps)
-            if isinstance(res, Certificate):
-                verdict = "certified"
-            elif isinstance(res, Undecided) or (isinstance(res, NotRigid) and res.stuck_at_rig2):
-                verdict = "unresolved"
+        rig, verdict, _ = classify_candidate(P, args.max_steps)
         out.write(
             json.dumps({"problem": problem_to_dict(P), "rig_index": rig, "verdict": verdict})
             + "\n"
@@ -739,7 +710,15 @@ def execute_command(argv, out=None, err=None) -> int:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args, out)
-    except (ParseError, SemanticError, FormalError, TransformsError, ReplayMismatch, OSError) as e:
+    except (
+        ParseError,
+        SemanticError,
+        FormalError,
+        TransformsError,
+        ReplayMismatch,
+        RadicalError,
+        OSError,
+    ) as e:
         err.write(f"error: {e}\n")
         return EXIT_INPUT
     except UndecidedSign as e:
@@ -749,3 +728,7 @@ def execute_command(argv, out=None, err=None) -> int:
 
 def main():
     sys.exit(execute_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -242,12 +242,6 @@ class CycloNum:
 
     __hash__ = None  # mixed-level equality makes hashing unreliable
 
-    def sort_key(self, level: int | None = None):
-        """Deterministic key; comparable across values promoted to a
-        common level."""
-        a = self.promote(level) if level else self
-        return tuple(a.coeffs)
-
     def __repr__(self):
         return f"CycloNum({self.level}, {format_cyclo(self)!r})"
 
@@ -318,18 +312,6 @@ def _poly_sub(a, b):
 # -- operations ------------------------------------------------------
 
 
-def arith(op: str, a: CycloNum, b: CycloNum) -> CycloNum:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def inv(a: CycloNum) -> CycloNum:
-    return a.inv()
-
-
 def galois_apply(k: int, a: CycloNum) -> CycloNum:
     """The automorphism zeta_N -> zeta_N^k, k coprime to the level."""
     n = a.level
@@ -367,9 +349,6 @@ class Ball:
             + self.radius * other.radius
         )
         return Ball(c, r)
-
-    def contains_ball(self, other: "Ball") -> bool:
-        return abs(complex(self.center) - complex(other.center)) + other.radius <= self.radius * (1 + 1e-15) + 1e-300
 
 
 def embed_ball(a: CycloNum, precision_bits: int = DEFAULT_PRECISION_BITS) -> Ball:
@@ -427,7 +406,7 @@ def angle_exact(a: CycloNum, precision_bits: int = DEFAULT_PRECISION_BITS):
             return ang
         # the angle of a is (ang + j)/m for some j; pick j numerically
         candidates = [Fraction(ang + j, m) % 1 for j in range(m)]
-        approx = _angle_ball(a, precision_bits)
+        approx = _angle_ball(embed_ball(a, precision_bits))
         gap = Fraction(1, 2 * m * ang.denominator * m)
         for cand in candidates:
             delta = abs(_circle_dist(float(cand), approx[0]))
@@ -435,13 +414,12 @@ def angle_exact(a: CycloNum, precision_bits: int = DEFAULT_PRECISION_BITS):
                 if approx[1] < float(gap):
                     return cand
         # precision did not separate candidates; refine
-        refined = _angle_ball(a, min(4 * precision_bits, PRECISION_CAP_BITS))
+        refined = _angle_ball(embed_ball(a, min(4 * precision_bits, PRECISION_CAP_BITS)))
         for cand in candidates:
             if abs(_circle_dist(float(cand), refined[0])) <= refined[1]:
                 return cand
         raise UndecidedSign("could not certify exact angle branch")
-    center, rad = _angle_ball(a, precision_bits)
-    return Ball(center, rad)
+    return Ball(*_angle_ball(embed_ball(a, precision_bits)))
 
 
 def _circle_dist(x: float, y: float) -> float:
@@ -449,13 +427,12 @@ def _circle_dist(x: float, y: float) -> float:
     return min(d, 1.0 - d)
 
 
-def _angle_ball(a: CycloNum, precision_bits: int):
-    b = embed_ball(a, precision_bits)
+def _angle_ball(b: Ball) -> tuple[float, float]:
+    """(center, radius) in turns of the angular sector containing b."""
     r = abs(b.center)
     if r <= b.radius:
         raise UndecidedSign("argument of a ball containing zero")
     theta = math.atan2(b.center.imag, b.center.real) / (2 * math.pi)
-    # radius of the angular sector containing the ball, in turns
     ang_err = math.asin(min(1.0, b.radius / r)) / (2 * math.pi) + 1e-15
     return theta, ang_err
 
@@ -482,88 +459,72 @@ def minimize_level(a: CycloNum) -> CycloNum:
     """Re-express a at the smallest cyclotomic level containing it.
 
     Gives a representation-independent storage form, which canonical
-    orderings rely on."""
-    n = a.level
-    if n == 1:
+    orderings rely on.  Descends one prime at a time: the levels whose
+    field contains a are closed under gcd, so any descent path reaches
+    the same minimum."""
+    if a.level == 1:
         return a
     if a.is_rational():
         return CycloNum.from_rational(a.coeffs[0])
-    best = a
-    changed = True
-    while changed:
-        changed = False
-        n = best.level
-        for p in sorted({q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)}):
-            d = n // p
-            # equal totients occur for n = 2 mod 4, d = n/2: same field,
-            # strictly smaller level, so still worth descending
-            if d < 1 or totient(d) > totient(n):
-                continue
-            # fixed by Gal(Q(zeta_n)/Q(zeta_d)) iff it lies in Q(zeta_d)
-            fixed = all(
-                galois_apply(k, best) == best
-                for k in range(1, n)
-                if k % d == 1 and math.gcd(k, n) == 1
-            )
-            if not fixed:
-                continue
-            down = _express_in_sublevel(best, d)
+    descended = True
+    while descended:
+        descended = False
+        for p in _prime_factors(a.level):
+            down = _descend(a, p)
             if down is not None:
-                best = down
-                changed = True
+                a = down
+                descended = True
                 break
-    return best
+    return a
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    for f in range(2, int(q**0.5) + 1):
-        if q % f == 0:
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
-def _express_in_sublevel(a: CycloNum, d: int):
-    """Solve for coordinates of a in the power basis of Q(zeta_d) inside
-    Q(zeta_level); None when a is not in the subfield."""
+def _descend(a: CycloNum, p: int) -> CycloNum | None:
+    """a at level n/p when it lies in Q(zeta_(n/p)), else None; p is a
+    prime dividing n = a.level."""
     n = a.level
-    phi_d = totient(d)
-    basis = [CycloNum.zeta(d, i).promote(n).coeffs for i in range(phi_d)]
-    target = list(a.coeffs)
-    # solve basis^T x = target by Gaussian elimination
-    rows = [list(col) for col in zip(*basis)]  # totient(n) x phi_d
-    aug = [row + [t] for row, t in zip(rows, target)]
-    ncols = phi_d
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][-1]
-    for i in range(r, len(aug)):
-        if aug[i][-1] != 0:
+    d = n // p
+    if d % p == 0:
+        # Phi_n(x) = Phi_d(x^p): the subfield is spanned by the powers
+        # of zeta_n that are multiples of p
+        if any(c != 0 for i, c in enumerate(a.coeffs) if i % p):
             return None
-    cand = CycloNum(d, tuple(sol))
-    if cand.promote(n) == a:
-        return cand
-    return None
+        down = CycloNum(d, a.coeffs[::p])
+    else:
+        # zeta_n = zeta_d^x * zeta_p^y; group a = sum_j B_j zeta_p^j with
+        # B_j in Q(zeta_d).  As zeta_p^(p-1) = -(1 + ... + zeta_p^(p-2)),
+        # a lies in Q(zeta_d) iff B_1 = ... = B_(p-1), and then equals
+        # B_0 - B_(p-1).
+        x, y = pow(p, -1, d), pow(d, -1, p)
+        raw = [[Fraction(0)] * d for _ in range(p)]
+        for i, c in enumerate(a.coeffs):
+            if c != 0:
+                raw[y * i % p][x * i % d] += c
+        groups = [_reduce_mod_phi(r, d) for r in raw]
+        if any(g != groups[-1] for g in groups[1:-1]):
+            return None
+        down = CycloNum(d, tuple(u - v for u, v in zip(groups[0], groups[-1])))
+    if down.promote(n).coeffs != a.coeffs:
+        raise CycloError(f"subfield descent from level {n} to {d} does not round-trip")
+    return down
 
 
 def format_cyclo(a: CycloNum) -> str:
-    """Render in the problem-file coefficient syntax."""
+    """Render in the problem-file coefficient syntax at a's own level."""
     if a.is_zero():
         return "0"
     parts = []
@@ -571,14 +532,20 @@ def format_cyclo(a: CycloNum) -> str:
         if c == 0:
             continue
         if i == 0:
-            parts.append(_fmt_q(c))
-        elif c == 1:
-            parts.append(f"z({a.level})^{i}" if i != 1 else f"z({a.level})")
+            parts.append(str(c))
+        elif i == 1:
+            parts.append(f"{c}*z({a.level})")
         else:
-            mono = f"z({a.level})^{i}" if i != 1 else f"z({a.level})"
-            parts.append(f"{_fmt_q(c)}*{mono}")
-    return " + ".join(parts)
+            parts.append(f"{c}*z({a.level})^{i}")
+    return _join_terms(parts)
 
 
-def _fmt_q(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _join_terms(parts: list[str]) -> str:
+    """Join signed terms with " + ", folding a leading minus into " - "."""
+    out = parts[0]
+    for p in parts[1:]:
+        if p.startswith("-"):
+            out += " - " + p[1:]
+        else:
+            out += " + " + p
+    return out

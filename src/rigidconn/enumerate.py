@@ -108,6 +108,22 @@ def enumerate_candidates(locations, phi_pool, N: int, r: int):
         yield Problem.make(order, list(zip(locs, combo)))
 
 
+def classify_candidate(P: Problem, max_steps: int = 64):
+    """(rig, verdict, reduction result) of one candidate.  The verdict
+    is "certified" (ADK certificate), "unresolved" (rig = 2 but the
+    greedy reduction could not finish) or "not_rigid"; the result is
+    None when rig != 2 and run_adk is not tried."""
+    rig = rig_index(P)
+    if rig != 2:
+        return rig, "not_rigid", None
+    res = run_adk(P, max_steps)
+    if isinstance(res, Certificate):
+        return rig, "certified", res
+    if isinstance(res, Undecided) or (isinstance(res, NotRigid) and res.stuck_at_rig2):
+        return rig, "unresolved", res
+    return rig, "not_rigid", res
+
+
 def count_rigid(locations, phi_pool, N: int, r: int, max_steps: int = 64):
     """Partition the candidate stream into ADK-certified problems,
     rig = 2 problems the greedy reduction could not resolve, and a count
@@ -116,14 +132,11 @@ def count_rigid(locations, phi_pool, N: int, r: int, max_steps: int = 64):
     unresolved: list = []
     non_rigid = 0
     for P in enumerate_candidates(locations, phi_pool, N, r):
-        if rig_index(P) != 2:
-            non_rigid += 1
-            continue
-        res = run_adk(P, max_steps)
-        if isinstance(res, Certificate):
+        _, verdict, res = classify_candidate(P, max_steps)
+        if verdict == "certified":
             assert is_quasi_unipotent(P)
             certified.append((P, res))
-        elif isinstance(res, Undecided) or (isinstance(res, NotRigid) and res.stuck_at_rig2):
+        elif verdict == "unresolved":
             unresolved.append((P, res))
         else:
             non_rigid += 1

@@ -26,9 +26,9 @@ from .puiseux import (
     diff_pole_order,
     galois_act,
     polar_add,
-    ramify,
     slope,
 )
+from .radicals import csort_key
 
 
 class FormalError(Exception):
@@ -69,8 +69,7 @@ class Location:
     def sort_key(self):
         if self.is_inf:
             return (1, ())
-        m = minimize_level(self.value)
-        return (0, (m.level, tuple(m.coeffs)))
+        return (0, csort_key(self.value))
 
     def __repr__(self):
         return "inf" if self.is_inf else f"Loc({self.value!r})"

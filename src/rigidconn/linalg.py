@@ -36,10 +36,6 @@ def zeros(n: int, m: int) -> Matrix:
     return [[CycloNum.zero() for _ in range(m)] for _ in range(n)]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -162,14 +158,12 @@ def jordan_blocks(a: Matrix, candidates: list[CycloNum]) -> list[tuple[CycloNum,
 
 
 def column_span_basis(vectors: list[list[CycloNum]]) -> list[list[CycloNum]]:
-    """Independent subset spanning the same space."""
-    basis: list[list[CycloNum]] = []
-    for v in vectors:
-        test = basis + [v]
-        m = [list(col) for col in zip(*test)] if test else []
-        if mat_rank(m) == len(test):
-            basis.append(v)
-    return basis
+    """Independent subset spanning the same space: the vectors at the
+    pivot columns of the matrix that has them as columns."""
+    if not vectors:
+        return []
+    _, pivots = rref([list(row) for row in zip(*vectors)])
+    return [vectors[j] for j in pivots]
 
 
 def quotient_action(maps: list[Matrix], subspace: list[list[CycloNum]]) -> tuple[int, list[Matrix]]:

@@ -25,7 +25,6 @@ from .radicals import (
     cis_zero,
     cmul,
     cneg,
-    cpow,
     croot,
     csort_key,
     csub,
@@ -204,11 +203,6 @@ def polar_neg(phi: PolarPart) -> PolarPart:
     return PolarPart(phi.ram, tuple((j, cneg(c)) for j, c in phi.terms))
 
 
-def polar_scale(phi: PolarPart, c) -> PolarPart:
-    """Multiply every coefficient by c."""
-    return PolarPart.make(phi.ram, [(j, cmul(a, c)) for j, a in phi.terms])
-
-
 def unramified_head(phi: PolarPart) -> PolarPart:
     """The integer-exponent sub-polar-part of phi."""
     p = phi.ram
@@ -312,17 +306,6 @@ class Lser:
         if first:
             return Lser.const(CycloNum.one(), self.trunc)
         return result
-
-    def compose_into(self, u: "Lser") -> "Lser":
-        """Evaluate this series at w = u (u must have valuation >= 1)."""
-        assert u.valuation() >= 1
-        out = None
-        for k in sorted(self.terms):
-            t = u.pow(k).scale(self.terms[k])
-            out = t if out is None else out + t
-        if out is None:
-            return Lser({}, self.trunc)
-        return Lser(out.terms, min(out.trunc, self.trunc * max(1, u.valuation())))
 
     def __eq__(self, other):
         t = min(self.trunc, other.trunc)

@@ -88,12 +88,6 @@ class RadicalTower:
 
 TOWER = RadicalTower()
 
-
-def reset_tower():
-    global TOWER
-    TOWER = RadicalTower()
-
-
 Monomial = tuple[tuple[int, Fraction], ...]  # ((radicand_index, exponent), ...)
 
 
@@ -246,11 +240,17 @@ def rational_nth_root(q: Fraction, n: int) -> Fraction | None:
         return None
 
     def iroot(m: int):
-        r = round(m ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand > 0 and cand**n == m:
-                return cand
-        return None
+        if n == 2:
+            r = math.isqrt(m)
+        else:
+            # integer Newton from above: decreases to floor(m^(1/n))
+            r = 1 << -(-m.bit_length() // n)
+            while True:
+                s = ((n - 1) * r + m // r ** (n - 1)) // n
+                if s >= r:
+                    break
+                r = s
+        return r if r**n == m else None
 
     a = iroot(q.numerator)
     b = iroot(q.denominator)
@@ -359,15 +359,9 @@ def cembed(a, precision_bits: int = 128, tower: RadicalTower | None = None) -> B
 
 def csort_key(a):
     """Representation-independent total-order key for coefficients."""
-    if isinstance(a, (int, Fraction)):
+    if isinstance(a, RadicalCoeff):
+        return (1, tuple((_monomial_key(mono),) + csort_key(c)[1:] for mono, c in a.terms))
+    if not isinstance(a, CycloNum):
         a = CycloNum.from_rational(a)
-    if isinstance(a, CycloNum):
-        m = minimize_level(a)
-        return (0, m.level, tuple(m.coeffs))
-    return (
-        1,
-        tuple(
-            (_monomial_key(mono), minimize_level(c).level, tuple(minimize_level(c).coeffs))
-            for mono, c in a.terms
-        ),
-    )
+    m = minimize_level(a)
+    return (0, m.level, m.coeffs)

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import Ball, CycloNum, UndecidedSign, angle_exact
+from .cyclo import Ball, CycloNum, UndecidedSign, _angle_ball, angle_exact
 from .puiseux import PolarPart, galois_act, polar_add, polar_neg
-from .radicals import RadicalCoeff, cembed
+from .radicals import cembed
 
 
 class StokesError(Exception):
@@ -55,14 +55,7 @@ def _coeff_angle(a):
         a = CycloNum.from_rational(a)
     if isinstance(a, CycloNum):
         return angle_exact(a)
-    assert isinstance(a, RadicalCoeff)
-    b = cembed(a)
-    r = abs(b.center)
-    if r <= b.radius:
-        raise UndecidedSign("angle of a ball containing zero")
-    theta = math.atan2(b.center.imag, b.center.real) / (2 * math.pi)
-    err = math.asin(min(1.0, b.radius / r)) / (2 * math.pi) + 1e-15
-    return Ball(theta, err)
+    return Ball(*_angle_ball(cembed(a)))
 
 
 def _leading_difference(psi: PolarPart, phi: PolarPart, p: int):
@@ -111,26 +104,10 @@ def order_arcs(psi: PolarPart, phi: PolarPart, p: int | None = None):
 
 
 def boundary_directions(psi: PolarPart, phi: PolarPart, p: int | None = None):
-    """The 2q directions where the strict order flips; empty for equal
-    polar parts."""
-    p = p or math.lcm(psi.ram, phi.ram)
-    lead = _leading_difference(psi, phi, p)
-    if lead is None:
-        return ()
-    q, a = lead
-    alpha = _coeff_angle(a)
-    out = []
-    for k in range(q):
-        for quarter in (Fraction(1, 4), Fraction(3, 4)):
-            if isinstance(alpha, Fraction):
-                out.append((Fraction(alpha - quarter - k, q)) % 1)
-            else:
-                out.append(
-                    Ball(
-                        float((alpha.center - float(quarter) - k) / q % 1.0),
-                        alpha.radius / q,
-                    )
-                )
+    """The 2q directions where the strict order flips: the endpoints of
+    the order arcs; empty for equal polar parts."""
+    _, strict = order_arcs(psi, phi, p)
+    out = [x for arc in strict for x in (arc.end, arc.start)]
     if all(isinstance(x, Fraction) for x in out):
         out.sort()
     return tuple(out)

@@ -42,7 +42,6 @@ from .linalg import (
     mat_mul,
     mat_sub,
     quotient_action,
-    zeros,
 )
 from .puiseux import Lser, PolarPart, ceq, cmul, slope, solve_series
 from .rigidity import rig_index
@@ -199,17 +198,6 @@ def inf_to_finite(f: ExpFactor) -> tuple[CycloNum, ExpFactor]:
     return c, ExpFactor(polar, f.reg)
 
 
-def local_fourier(leg: str, f: ExpFactor, point=None):
-    if leg == "finite_to_inf":
-        x = point if isinstance(point, CycloNum) else CycloNum.from_rational(Fraction(point))
-        return finite_to_inf(x, f)
-    if leg == "inf_to_inf":
-        return inf_to_inf(f)
-    if leg == "inf_to_finite":
-        return inf_to_finite(f)
-    raise SlopeLegMismatch(f"unknown leg {leg!r}")
-
-
 def _polar_with_head(polar: PolarPart, ram: int, c) -> PolarPart:
     """Add c * t (numerator = ram at level ram) to a polar part given at
     exactly that ramification level."""
@@ -292,33 +280,22 @@ def fourier_global(P: Problem) -> Problem:
     r = P.rank()
     inf_factors: list[ExpFactor] = []
     vanishing: list[tuple[Location, ExpFactor]] = []
-    finite_defect = 0  # for the rank cross-check
     for loc, t in P.points:
         if loc.is_inf:
             continue
-        z = sum(
-            1
-            for f in t.factors
-            if f.phi.is_zero()
-            for a, _ in f.reg.blocks
-            if a == 0
-        )
-        finite_defect += irregularity(t) + r - z
         for f in vc_factors(t):
             inf_factors.append(finite_to_inf(loc.value, f))
     tinf = P.at(INF) or FormalType.trivial(r)
-    steep_defect = 0
     for f in tinf.factors:
         if slope(f.phi) > 1:
             inf_factors.append(inf_to_inf(f))
-            steep_defect += int(slope(f.phi) * f.rank()) - f.rank()
         else:
             c, g = inf_to_finite(f)
             vanishing.append((Location.of(c), g))
     rp = sum(f.rank() for f in inf_factors)
     if rp == 0:
         raise RankZeroOutput("transform of a successive extension of exponentials")
-    assert rp == finite_defect + steep_defect, "leg ranks disagree with the rank formula"
+    assert rp == fourier_rank_prediction(P), "leg ranks disagree with the rank formula"
 
     new_points: list[tuple[Location, FormalType]] = [(INF, FormalType.make(inf_factors))]
     groups: list[tuple[Location, list[ExpFactor]]] = []
@@ -373,8 +350,8 @@ def _scalar_exponent_at_inf(t: FormalType) -> Fraction | None:
     return None
 
 
-def _zero_slope_blocks_with_exponent(t: FormalType, e: Fraction) -> int:
-    e = Fraction(e) % 1
+def _zero_slope_blocks_with_exponent(t: FormalType, e) -> int:
+    """Blocks of the slope-zero factor with exponent e, e in [0, 1)."""
     return sum(
         1
         for f in t.factors
@@ -396,10 +373,26 @@ def mc_rank_prediction(P: Problem, chi_exponent) -> int:
             seen_inf = True
             total += irregularity(t) + r - _zero_slope_blocks_with_exponent(t, g)
         else:
-            total += irregularity(t) + r - _zero_slope_blocks_with_exponent(t, Fraction(0))
+            total += irregularity(t) + r - _zero_slope_blocks_with_exponent(t, 0)
     if not seen_inf:
         total += r  # trivial data at infinity: Irr 0, z(chi) = 0 for chi != 1
     return total - r
+
+
+def fourier_rank_prediction(P: Problem) -> int:
+    """r' = sum over finite x of (Irr_x + r - z_x(1))
+          + sum over slopes s > 1 at infinity of (s - 1) * rank."""
+    r = P.rank()
+    total = 0
+    for loc, t in P.points:
+        if loc.is_inf:
+            for f in t.factors:
+                s = slope(f.phi)
+                if s > 1:
+                    total += int(s * f.rank()) - f.rank()
+        else:
+            total += irregularity(t) + r - _zero_slope_blocks_with_exponent(t, 0)
+    return total
 
 
 def _finite_irregular_values(P: Problem):

@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,7 @@ from rigidconn.cli import (
     print_certificate,
     print_problem,
 )
+import rigidconn
 from rigidconn.cyclo import CycloNum
 from rigidconn.formal import INF, Location
 from rigidconn.puiseux import PolarPart
@@ -209,3 +214,65 @@ def test_determinism(files):
     a = run(["rig", files["hyper"]])
     b = run(["rig", files["hyper"]])
     assert a == b
+
+
+# --- malformed input ------------------------------------------------------
+
+
+def _set(path, value):
+    """Edit of the Kloosterman document: set (or with value None, drop)
+    the field at the given key path."""
+
+    def edit(d):
+        for k in path[:-1]:
+            d = d[k]
+        if value is None:
+            del d[path[-1]]
+        else:
+            d[path[-1]] = value
+
+    return edit
+
+
+MALFORMED = {
+    "missing_loc": _set(["points", 0, "loc"], None),
+    "points_not_array": _set(["points"], 5),
+    "zero_exponent_numerator": _set(["points", 1, "factors", 0, "phi"], "t^(-0)"),
+    "root_of_zero": _set(["points", 0, "loc"], "rt(0,2)"),
+    "float_exponent": _set(["points", 0, "factors", 0, "reg", 0, "exp"], 0.5),
+    "boolean_N": _set(["N"], True),
+    "boolean_version": _set(["version"], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_problem_exits_2(name, tmp_path):
+    d = json.loads(print_problem(kloosterman()))
+    MALFORMED[name](d)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    code, out, err = run(["rig", str(path)])
+    assert code == EXIT_INPUT
+    assert out == "" and err.startswith("error: ")
+
+
+# --- python -m rigidconn.cli ---------------------------------------------
+
+
+def _module_cli(*args):
+    src = str(Path(rigidconn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "rigidconn.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_module_entry_point(files):
+    res = _module_cli("--help")
+    assert res.returncode == 0 and "usage: rigidconn" in res.stdout
+    res = _module_cli("rig", files["hyper"])
+    assert res.returncode == EXIT_OK and res.stdout == "rig_index = 2\n"

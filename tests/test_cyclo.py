@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidconn.cyclo import (
     CycloNum,
@@ -51,6 +54,39 @@ def test_minimize_level():
     assert minimize_level(z6**2).level == 3
     assert minimize_level(z6**3).level == 1
     assert minimize_level(CycloNum.from_rational(F(5, 7))).level == 1
+
+
+PROPERTY_LEVELS = (3, 5, 7, 8, 9, 12, 15, 20, 24, 28, 30, 36, 60)
+
+
+@st.composite
+def promoted(draw):
+    """(b, n): b at a level m dividing n."""
+    n = draw(st.sampled_from(PROPERTY_LEVELS))
+    m = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    coeffs = draw(st.lists(coeff, min_size=totient(m), max_size=totient(m)))
+    return CycloNum(m, tuple(coeffs)), n
+
+
+def _embed(a: CycloNum):
+    with mpmath.workprec(200):
+        z = mpmath.exp(2j * mpmath.pi / a.level)
+        terms = (mpmath.mpf(c.numerator) / c.denominator * z**i for i, c in enumerate(a.coeffs))
+        return sum(terms, mpmath.mpc(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(promoted())
+def test_minimize_level_is_independent_of_the_ambient_level(pair):
+    b, n = pair
+    got = minimize_level(b.promote(n))
+    want = minimize_level(b)
+    assert (got.level, got.coeffs) == (want.level, want.coeffs)
+    assert got.level % 4 != 2
+    with mpmath.workprec(200):
+        mass = 1 + sum(abs(c) for c in b.coeffs)
+        assert abs(_embed(got) - _embed(b)) <= mpmath.mpf(2) ** -180 * mass
 
 
 def test_galois_apply():

@@ -28,6 +28,22 @@ def test_rational_nth_root():
     assert rational_nth_root(F(2), 2) is None
 
 
+def test_rational_nth_root_is_exact_beyond_float_precision():
+    # a float square root misses this perfect square by rounding
+    root = 10**17 + 3
+    assert rational_nth_root(F(root**2), 2) == root
+    assert rational_nth_root(F(root**2 + 1), 2) is None
+    assert rational_nth_root(F(root**3, 8), 3) == F(root, 2)
+    assert ceq(croot(c(root**2), 2), c(root))
+
+
+def test_rational_nth_root_beyond_float_range():
+    # 10**400 overflows a float
+    assert rational_nth_root(F(10**400), 2) == 10**200
+    assert rational_nth_root(F(10**400), 3) is None
+    assert rational_nth_root(F(1, 10**402), 3) == F(1, 10**134)
+
+
 def test_square_root_squares_back():
     r = croot(c(2), 2)
     assert ceq(cmul(r, r), c(2))
