@@ -19,7 +19,6 @@ from .formal import (
     FormalType,
     Location,
     Problem,
-    types_equal,
 )
 from .puiseux import (
     Lser,
@@ -211,23 +210,16 @@ def normalize_problem(P: Problem) -> tuple[Problem, list[Step]]:
     steps: list[Step] = []
     r = P.rank()
 
-    locs = P.locations()
-    s_inf = special[0] if special else (INF if any(l.is_inf for l in locs) else None)
-    finite_others = [l for l in locs if not l == s_inf and not l.is_inf]
-    if s_inf is not None and not s_inf.is_inf and any(l.is_inf for l in locs):
-        finite_others.append(INF)  # old infinity becomes a finite point
-
     zero, one = Location.of(0), Location.of(1)
     # with the special point (or no singular point) at infinity no Moebius
     # move is needed: 0, 1 and infinity are filled in by apparent points
-    if s_inf is not None and not s_inf.is_inf:
+    if special and not special[0].is_inf:
+        s_inf = special[0]
         # choose destinations for 0 and 1 among the other singular points,
         # preferring to keep 0 and 1 where they are
-        others = [l for l in P.locations() if not l == s_inf]
-        ordered = sorted(others, key=lambda l: l.sort_key())
-        preferred = [l for l in ordered if l == zero] + [l for l in ordered if l == one]
-        rest = [l for l in ordered if not (l == zero or l == one)]
-        ordered = preferred + rest
+        rank_of = {zero: 0, one: 1}
+        others = [l for l in P.locations() if l != s_inf]
+        ordered = sorted(others, key=lambda l: (rank_of.get(l, 2), l.sort_key()))
         s0 = ordered[0] if ordered else None
         s1 = ordered[1] if len(ordered) > 1 else None
         if s0 is None:
@@ -455,6 +447,6 @@ def _problem_diff(got: Problem, want: Problem) -> str | None:
             return f"extra point {loc!r}"
     for loc in locs_want:
         tg, tw = got.at(loc), want.at(loc)
-        if not types_equal(tg, tw):
+        if tg != tw:
             return f"at {loc!r}: {tg!r} != {tw!r}"
     return None

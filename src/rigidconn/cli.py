@@ -23,7 +23,7 @@ from .adk import (
     replay_certificate,
     run_adk,
 )
-from .cyclo import CycloNum, UndecidedSign, _join_terms, format_cyclo, minimize_level
+from .cyclo import CycloNum, UndecidedSign, _join_terms, format_cyclo
 from .enumerate import classify_candidate, enumerate_candidates
 from .formal import (
     INF,
@@ -152,6 +152,11 @@ def _parse_coeff_primary(tk: _Tokens):
     if k == "sym" and s == "-":
         tk.next()
         return cmul(_parse_coeff_primary(tk), CycloNum.from_rational(-1))
+    if k == "sym" and s == "(":
+        tk.next()
+        val = _parse_coeff_expr(tk)
+        tk.expect("sym", ")")
+        return val
     if k == "name" and s == "z":
         tk.next()
         tk.expect("sym", "(")
@@ -224,9 +229,7 @@ def parse_coeff(text: str):
     val = _parse_coeff_expr(tk)
     if tk.peek()[0] != "eof":
         tk.error("trailing input after coefficient expression")
-    if isinstance(val, RadicalCoeff):
-        return val
-    return minimize_level(val)
+    return val
 
 
 def _parse_polar_term(tk: _Tokens):
@@ -285,20 +288,21 @@ def parse_polar(text: str) -> PolarPart:
 # -- canonical printers ----------------------------------------------
 
 
+def _factor_str(a) -> str:
+    """coeff_str(a), in parentheses when a has several terms."""
+    terms = a.terms if isinstance(a, RadicalCoeff) else [c for c in a.coeffs if c != 0]
+    s = coeff_str(a)
+    return f"({s})" if len(terms) > 1 else s
+
+
 def coeff_str(a) -> str:
-    if isinstance(a, (int, Fraction)):
-        a = CycloNum.from_rational(a)
-    if isinstance(a, CycloNum):
-        return format_cyclo(minimize_level(a))
+    if not isinstance(a, RadicalCoeff):
+        return format_cyclo(a)
     parts = []
     for mono, c in a.terms:
-        cs = coeff_str(c)
-        atoms = [f"({cs})" if " + " in cs else cs]
+        atoms = [_factor_str(c)]
         for idx, e in mono:
-            radicand = coeff_str(TOWER.value(idx))
-            if " + " in radicand:
-                radicand = f"({radicand})"
-            atom = f"rt({radicand}, {e.denominator})"
+            atom = f"rt({_factor_str(TOWER.value(idx))}, {e.denominator})"
             if e.numerator != 1:
                 atom += f"^{e.numerator}"
             atoms.append(atom)
@@ -313,13 +317,8 @@ def polar_str(phi: PolarPart) -> str:
     for j, c in phi.terms:
         e = Fraction(j, phi.ram)
         tpart = f"t^(-{e.numerator}/{e.denominator})" if e.denominator > 1 else f"t^(-{e.numerator})"
-        cs = coeff_str(c)
-        if cs == "1":
-            parts.append(tpart)
-        else:
-            if " + " in cs:
-                cs = f"({cs})"
-            parts.append(f"{cs}*{tpart}")
+        cs = _factor_str(c)
+        parts.append(tpart if cs == "1" else f"{cs}*{tpart}")
     return _join_terms(parts)
 
 

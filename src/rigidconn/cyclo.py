@@ -5,7 +5,8 @@ Elements are stored as coefficient vectors over Q in the power basis
 primitive N-th root of unity exp(2*pi*i/N).  Working modulo the
 cyclotomic polynomial (rather than x^N - 1) keeps zero-testing exact.
 Cross-level operations promote both operands to the lcm level through
-the embedding zeta_N = zeta_M^(M/N).
+the embedding zeta_N = zeta_M^(M/N); every result is then brought back
+to its minimal level, so each element has one stored form.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-
-Rational = Fraction
 
 DEFAULT_PRECISION_BITS = 128
 PRECISION_CAP_BITS = 2048
@@ -112,7 +111,18 @@ def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class CycloNum:
-    """An element of Q(zeta_level); coeffs has length totient(level)."""
+    """An element of Q(zeta_level); coeffs has length totient(level).
+
+    Invariant: every value returned by the constructors below, the
+    arithmetic operators and galois_apply is stored at its minimal
+    level, the smallest N with the value in Q(zeta_N).  A value thus has
+    one representation: equality is (level, coeffs) equality, and the
+    hash agrees with it, a level-1 value hashing as its rational (so it
+    also agrees with == on int and Fraction).  The raw dataclass
+    constructor and promote are the only ways to get a non-minimal
+    representation; mixed-level arithmetic uses them internally, and
+    tests use them to build inputs for minimize_level.
+    """
 
     level: int
     coeffs: tuple[Fraction, ...]
@@ -124,12 +134,17 @@ class CycloNum:
 
     @staticmethod
     def from_rational(q) -> "CycloNum":
-        q = Fraction(q)
-        return CycloNum(1, (q,))
+        return CycloNum(1, (Fraction(q),))
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "CycloNum":
-        k %= n
+        g = math.gcd(k, n)
+        n //= g
+        k = k // g % n
+        if n % 4 == 2:
+            # k and n/2 are odd: zeta_n^k = -zeta_n^(k + n/2)
+            return -CycloNum.zeta(n // 2, (k + n // 2) // 2)
+        # a primitive n-th root of unity with n != 2 mod 4 has level n
         raw = [Fraction(0)] * (k + 1)
         raw[k] = Fraction(1)
         return CycloNum(n, _reduce_mod_phi(raw, n))
@@ -156,7 +171,8 @@ class CycloNum:
         return self.coeffs[0]
 
     def promote(self, m: int) -> "CycloNum":
-        """Re-express at level m (level must divide m)."""
+        """Re-express at level m (level must divide m); the result is
+        not minimal when m > level."""
         if m == self.level:
             return self
         assert m % self.level == 0
@@ -172,11 +188,17 @@ class CycloNum:
         return a.promote(m), b.promote(m)
 
     # -- arithmetic ---------------------------------------------------
+    # A rational operand takes a fast path: adding a rational, or
+    # multiplying by a nonzero one, keeps the other operand's level.
 
     def __add__(self, other) -> "CycloNum":
         other = _coerce(other)
+        if other.level == 1:
+            return _plus_rational(self, other.coeffs[0])
+        if self.level == 1:
+            return _plus_rational(other, self.coeffs[0])
         a, b = CycloNum._common(self, other)
-        return CycloNum(a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return minimize_level(CycloNum(a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs))))
 
     def __neg__(self) -> "CycloNum":
         return CycloNum(self.level, tuple(-x for x in self.coeffs))
@@ -186,6 +208,10 @@ class CycloNum:
 
     def __mul__(self, other) -> "CycloNum":
         other = _coerce(other)
+        if other.level == 1:
+            return _times_rational(self, other.coeffs[0])
+        if self.level == 1:
+            return _times_rational(other, self.coeffs[0])
         a, b = CycloNum._common(self, other)
         raw = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
@@ -195,7 +221,7 @@ class CycloNum:
                 if y == 0:
                     continue
                 raw[i + j] += x * y
-        return CycloNum(a.level, _reduce_mod_phi(raw, a.level))
+        return minimize_level(CycloNum(a.level, _reduce_mod_phi(raw, a.level)))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -208,6 +234,7 @@ class CycloNum:
             raise DivisionByZero("inverse of zero")
         if self.is_rational():
             return CycloNum.from_rational(1 / self.coeffs[0])
+        # 1/a generates the same field as a, so the level stays minimal
         phi = [Fraction(c) for c in cyclotomic_coeffs(self.level)]
         g, s = _poly_gcdext(list(self.coeffs), phi)
         assert len(g) == 1 and g[0] != 0, "Phi_N is irreducible over Q"
@@ -233,17 +260,31 @@ class CycloNum:
         return result
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, CycloNum):
+            return self.level == other.level and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            other = CycloNum.from_rational(other)
-        if not isinstance(other, CycloNum):
-            return NotImplemented
-        a, b = CycloNum._common(self, other)
-        return a.coeffs == b.coeffs
+            return self.level == 1 and self.coeffs[0] == other
+        return NotImplemented
 
-    __hash__ = None  # mixed-level equality makes hashing unreliable
+    def __hash__(self):
+        return hash(self.coeffs[0]) if self.level == 1 else hash((self.level, self.coeffs))
 
     def __repr__(self):
         return f"CycloNum({self.level}, {format_cyclo(self)!r})"
+
+
+def _plus_rational(a: CycloNum, q: Fraction) -> CycloNum:
+    if q == 0:
+        return a
+    return CycloNum(a.level, (a.coeffs[0] + q,) + a.coeffs[1:])
+
+
+def _times_rational(a: CycloNum, q: Fraction) -> CycloNum:
+    if q == 0:
+        return CycloNum.zero()
+    if q == 1:
+        return a
+    return CycloNum(a.level, tuple(c * q for c in a.coeffs))
 
 
 def _coerce(x) -> CycloNum:
@@ -313,7 +354,8 @@ def _poly_sub(a, b):
 
 
 def galois_apply(k: int, a: CycloNum) -> CycloNum:
-    """The automorphism zeta_N -> zeta_N^k, k coprime to the level."""
+    """The automorphism zeta_N -> zeta_N^k, k coprime to the level.  It
+    maps every subfield Q(zeta_d) onto itself, so the level stays minimal."""
     n = a.level
     if math.gcd(k, n) != 1:
         raise NotCoprime(f"gcd({k}, {n}) != 1")
@@ -458,10 +500,10 @@ def certified_re_sign(a: CycloNum) -> int:
 def minimize_level(a: CycloNum) -> CycloNum:
     """Re-express a at the smallest cyclotomic level containing it.
 
-    Gives a representation-independent storage form, which canonical
-    orderings rely on.  Descends one prime at a time: the levels whose
-    field contains a are closed under gcd, so any descent path reaches
-    the same minimum."""
+    The one canonicaliser behind the CycloNum invariant: arithmetic calls
+    it on each result whose level may drop.  Descends one prime at a
+    time: the levels whose field contains a are closed under gcd, so any
+    descent path reaches the same minimum."""
     if a.level == 1:
         return a
     if a.is_rational():

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import CycloNum, minimize_level
+from .cyclo import CycloNum
 from .puiseux import (
     PolarPart,
     canonical_rep,
@@ -49,22 +49,15 @@ class Location:
     def of(x) -> "Location":
         if isinstance(x, Location):
             return x
+        if isinstance(x, CycloNum):
+            return Location(x)
         if isinstance(x, (int, Fraction)):
-            x = CycloNum.from_rational(x)
-        return Location(minimize_level(x))
+            return Location(CycloNum.from_rational(x))
+        raise FormalError(f"a location must be cyclotomic, got {x!r}")
 
     @property
     def is_inf(self) -> bool:
         return self.value is None
-
-    def __eq__(self, other):
-        if not isinstance(other, Location):
-            return NotImplemented
-        if self.is_inf or other.is_inf:
-            return self.is_inf and other.is_inf
-        return self.value == other.value
-
-    __hash__ = None
 
     def sort_key(self):
         if self.is_inf:
@@ -180,11 +173,12 @@ class Problem:
 
     @staticmethod
     def make(N: int, points) -> "Problem":
-        pts = [(Location.of(loc) if not isinstance(loc, Location) else loc, t) for loc, t in points]
-        for i, (a, _) in enumerate(pts):
-            for b, _ in pts[i + 1:]:
-                if a == b:
-                    raise FormalError(f"duplicate location {a!r}")
+        pts = [(Location.of(loc), t) for loc, t in points]
+        seen = set()
+        for a, _ in pts:
+            if a in seen:
+                raise FormalError(f"duplicate location {a!r}")
+            seen.add(a)
         ranks = {rank(t) for _, t in pts}
         if len(ranks) > 1:
             raise FormalError(f"rank mismatch across points: {sorted(ranks)}")
@@ -206,34 +200,13 @@ class Problem:
         return [l for l, _ in self.points]
 
     def with_point(self, loc: Location, t: FormalType) -> "Problem":
-        pts = [(l, tt) for l, tt in self.points if not l == loc]
+        pts = [(l, tt) for l, tt in self.points if l != loc]
         pts.append((loc, t))
         return Problem.make(self.N, pts)
 
     def drop_point(self, loc: Location) -> "Problem":
-        pts = [(l, tt) for l, tt in self.points if not l == loc]
+        pts = [(l, tt) for l, tt in self.points if l != loc]
         return Problem.make(self.N, pts)
-
-    def __eq__(self, other):
-        if not isinstance(other, Problem):
-            return NotImplemented
-        if self.N != other.N or len(self.points) != len(other.points):
-            return False
-        for (l1, t1), (l2, t2) in zip(self.points, other.points):
-            if not (l1 == l2 and types_equal(t1, t2)):
-                return False
-        return True
-
-    __hash__ = None
-
-
-def types_equal(a: FormalType, b: FormalType) -> bool:
-    if len(a.factors) != len(b.factors):
-        return False
-    return all(
-        f.phi == g.phi and f.reg.blocks == g.reg.blocks
-        for f, g in zip(a.factors, b.factors)
-    )
 
 
 # -- operations ------------------------------------------------------

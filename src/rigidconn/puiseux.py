@@ -16,9 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import CycloNum, minimize_level
+from .cyclo import CycloNum
 from .radicals import (
     NonInvertibleLeadingTerm,
+    RadicalCoeff,
     cadd,
     ceq,
     cinv,
@@ -48,11 +49,9 @@ class OutOfRange(PuiseuxError):
 
 
 def _norm_coeff(c):
-    if isinstance(c, (int, Fraction)):
-        c = CycloNum.from_rational(c)
-    if isinstance(c, CycloNum):
-        c = minimize_level(c)
-    return c
+    if isinstance(c, (CycloNum, RadicalCoeff)):
+        return c
+    return CycloNum.from_rational(c)
 
 
 @dataclass(frozen=True)
@@ -105,8 +104,6 @@ class PolarPart:
             for (j1, c1), (j2, c2) in zip(self.terms, other.terms)
         )
 
-    __hash__ = None
-
     def sort_key(self):
         return tuple((-j, csort_key(c)) for j, c in self.terms) or ((0, ()),)
 
@@ -153,8 +150,7 @@ def galois_act(phi: PolarPart, m: int) -> PolarPart:
     if m == 0 or phi.is_zero():
         return phi
     out = [(j, cmul(c, CycloNum.zeta(p, (-j * m) % p))) for j, c in phi.terms]
-    res = PolarPart(p, tuple((j, _norm_coeff(c)) for j, c in out if not cis_zero(c)))
-    return res
+    return PolarPart(p, tuple((j, c) for j, c in out if not cis_zero(c)))
 
 
 def orbit(phi: PolarPart) -> list[PolarPart]:

@@ -25,7 +25,6 @@ from .cyclo import (
     DivisionByZero,
     _positive_rational_angle,
     embed_ball,
-    minimize_level,
 )
 
 POWER_RELATION_BOUND = 16
@@ -50,7 +49,6 @@ class RadicalTower:
         """Return (index, k) with c = base_index^k."""
         if c.is_zero():
             raise RadicalError("zero radicand")
-        c = minimize_level(c)
         for idx, entry in enumerate(self.entries):
             if not isinstance(entry, CycloNum):
                 continue
@@ -103,19 +101,16 @@ class RadicalCoeff:
         """Normalize a list of (monomial, coeff) pairs; collapse to a
         CycloNum when no radical content remains."""
         tower = tower or TOWER
-        merged: list[tuple[Monomial, CycloNum]] = []
+        by_mono: dict[Monomial, CycloNum] = {}
         for mono, coeff in terms:
             mono, coeff = _normalize_monomial(mono, coeff, tower)
-            if coeff.is_zero():
-                continue
-            for i, (m2, c2) in enumerate(merged):
-                if m2 == mono:
-                    merged[i] = (m2, c2 + coeff)
-                    break
-            else:
-                merged.append((mono, coeff))
-        merged = [(m, minimize_level(c)) for m, c in merged if not c.is_zero()]
-        merged.sort(key=lambda mc: _monomial_key(mc[0]))
+            if mono in by_mono:
+                coeff = by_mono[mono] + coeff
+            by_mono[mono] = coeff
+        merged = sorted(
+            ((m, c) for m, c in by_mono.items() if not c.is_zero()),
+            key=lambda mc: _monomial_key(mc[0]),
+        )
         if not merged:
             return CycloNum.zero()
         if len(merged) == 1 and merged[0][0] == ():
@@ -128,6 +123,8 @@ class RadicalCoeff:
     def __repr__(self):
         return f"RadicalCoeff({self.terms!r})"
 
+    # unhashable: while the tower can redirect a radicand, equal values
+    # may differ structurally
     __hash__ = None
 
 
@@ -159,7 +156,7 @@ def _monomial_key(mono: Monomial):
 def _terms_of(c) -> tuple[tuple[Monomial, CycloNum], ...]:
     if isinstance(c, RadicalCoeff):
         return c.terms
-    if isinstance(c, (int, Fraction)):
+    if not isinstance(c, CycloNum):
         c = CycloNum.from_rational(c)
     return (((), c),)
 
@@ -186,11 +183,9 @@ def cmul(a, b, tower: RadicalTower | None = None):
 
 
 def cis_zero(a) -> bool:
-    if isinstance(a, RadicalCoeff):
+    if isinstance(a, (CycloNum, RadicalCoeff)):
         return a.is_zero()
-    if isinstance(a, (int, Fraction)):
-        return a == 0
-    return a.is_zero()
+    return a == 0
 
 
 def ceq(a, b) -> bool:
@@ -317,9 +312,8 @@ def croot(a, n: int, tower: RadicalTower | None = None):
         root_c = croot(c, n, tower)
         out_mono = [(idx, e / n) for idx, e in mono]
         return cmul(RadicalCoeff.make([(tuple(out_mono), CycloNum.one())], tower), root_c, tower)
-    if isinstance(a, (int, Fraction)):
+    if not isinstance(a, CycloNum):
         a = CycloNum.from_rational(a)
-    a = minimize_level(a)
     ang = _positive_rational_angle(a)
     if ang is not None:
         # a = rho * e^(2 pi i ang) with rho a positive rational
@@ -363,5 +357,4 @@ def csort_key(a):
         return (1, tuple((_monomial_key(mono),) + csort_key(c)[1:] for mono, c in a.terms))
     if not isinstance(a, CycloNum):
         a = CycloNum.from_rational(a)
-    m = minimize_level(a)
-    return (0, m.level, m.coeffs)
+    return (0, a.level, a.coeffs)

@@ -94,7 +94,7 @@ class RankOneData:
     def make(points) -> "RankOneData":
         out = []
         for loc, psi, b in points:
-            loc = Location.of(loc) if not isinstance(loc, Location) else loc
+            loc = Location.of(loc)
             if psi.ram != 1:
                 raise TransformsError("rank-one twist data must be unramified")
             out.append((loc, psi, Fraction(b) % 1))
@@ -298,15 +298,10 @@ def fourier_global(P: Problem) -> Problem:
     assert rp == fourier_rank_prediction(P), "leg ranks disagree with the rank formula"
 
     new_points: list[tuple[Location, FormalType]] = [(INF, FormalType.make(inf_factors))]
-    groups: list[tuple[Location, list[ExpFactor]]] = []
+    groups: dict[Location, list[ExpFactor]] = {}
     for loc, g in vanishing:
-        for loc2, gs in groups:
-            if loc == loc2:
-                gs.append(g)
-                break
-        else:
-            groups.append((loc, [g]))
-    for loc, gs in groups:
+        groups.setdefault(loc, []).append(g)
+    for loc, gs in groups.items():
         t = reconstruct_type(gs, rp)
         if not t.is_trivial():
             new_points.append((loc, t))
@@ -519,16 +514,16 @@ def dr_mc_oracle(T: MatrixTuple, lam: CycloNum) -> MatrixTuple:
 def tuple_formal_data(T: MatrixTuple, locations, N: int) -> Problem:
     """Formal (tame) data of a monodromy tuple: Jordan structure at each
     finite location and at infinity, eigenvalues in mu_N."""
-    candidates = [CycloNum.zeta(N, k) for k in range(N)]
+    exponent = {CycloNum.zeta(N, k): k for k in range(N)}
+    candidates = list(exponent)
     pts = []
     ms = T.mats() + [T.inf_monodromy()]
-    locs = [Location.of(l) if not isinstance(l, Location) else l for l in locations] + [INF]
+    locs = [Location.of(l) for l in locations] + [INF]
     if len(locs) != len(ms):
         raise TransformsError("location count mismatch")
     for loc, m in zip(locs, ms):
         blocks = []
         for lam, sizes in jordan_blocks(m, candidates):
-            k = next(i for i in range(N) if lam == CycloNum.zeta(N, i))
-            blocks.extend([(Fraction(k, N), s) for s in sizes])
+            blocks.extend([(Fraction(exponent[lam], N), s) for s in sizes])
         pts.append((loc, FormalType.regular(RegularPart.make(blocks))))
     return Problem.make(N, pts)

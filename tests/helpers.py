@@ -11,7 +11,6 @@ from rigidconn.formal import (
     Location,
     Problem,
     RegularPart,
-    types_equal,
 )
 from rigidconn.puiseux import PolarPart
 
@@ -35,7 +34,7 @@ def problems_equal(P: Problem, Q: Problem) -> bool:
     db = dict(Q.points)
     if set(da) != set(db):
         return False
-    return all(types_equal(da[l], db[l]) for l in da)
+    return all(da[l] == db[l] for l in da)
 
 
 def problems_equal_nontrivial(P: Problem, Q: Problem) -> bool:
@@ -46,7 +45,7 @@ def problems_equal_nontrivial(P: Problem, Q: Problem) -> bool:
     db = {l: t for l, t in Q.points if not t.is_trivial()}
     if set(da) != set(db):
         return False
-    return all(types_equal(da[l], db[l]) for l in da)
+    return all(da[l] == db[l] for l in da)
 
 
 def hypergeometric() -> Problem:

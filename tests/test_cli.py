@@ -31,7 +31,7 @@ import rigidconn
 from rigidconn.cyclo import CycloNum
 from rigidconn.formal import INF, Location
 from rigidconn.puiseux import PolarPart
-from rigidconn.radicals import cadd, ceq, croot
+from rigidconn.radicals import cadd, ceq, cneg, croot
 
 from helpers import F, fourpoint, hypergeometric, kloosterman, problems_equal
 
@@ -78,6 +78,24 @@ def test_parse_polar():
 def test_polar_roundtrip_with_radical_coefficient():
     phi = PolarPart.make(3, [(1, croot(CycloNum.from_rational(2), 2))])
     assert parse_polar(polar_str(phi)) == phi
+
+
+def test_polar_roundtrip_with_multi_term_coefficients():
+    z3, z5 = CycloNum.zeta(3), CycloNum.zeta(5)
+    two = CycloNum.from_rational(2)
+    coeffs = [
+        -CycloNum.from_rational(F(1, 4)) - CycloNum.from_rational(F(1, 4)) * z3,
+        1 + z5**2,
+        cadd(croot(two, 2), -z3),
+        croot(two - z5, 3),
+        cadd(croot(two + z5, 2), 1),
+    ]
+    for c in coeffs:
+        phi = PolarPart.make(2, [(3, c), (1, cneg(c))])
+        text = polar_str(phi)
+        assert parse_polar(text) == phi
+        assert polar_str(parse_polar(text)) == text
+    assert parse_coeff("-(1 - z(3))*(2 + z(5))") == -(1 - z3) * (two + z5)
 
 
 def test_parse_coeff_errors_carry_position():
@@ -239,6 +257,7 @@ MALFORMED = {
     "points_not_array": _set(["points"], 5),
     "zero_exponent_numerator": _set(["points", 1, "factors", 0, "phi"], "t^(-0)"),
     "root_of_zero": _set(["points", 0, "loc"], "rt(0,2)"),
+    "radical_loc": _set(["points", 0, "loc"], "rt(2,2)"),
     "float_exponent": _set(["points", 0, "factors", 0, "reg", 0, "exp"], 0.5),
     "boolean_N": _set(["N"], True),
     "boolean_version": _set(["version"], True),

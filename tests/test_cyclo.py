@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic, certified embeddings and angles."""
 
+import cmath
 from fractions import Fraction
 
 import mpmath
@@ -89,11 +90,59 @@ def test_minimize_level_is_independent_of_the_ambient_level(pair):
         assert abs(_embed(got) - _embed(b)) <= mpmath.mpf(2) ** -180 * mass
 
 
+def _canonical(x: CycloNum) -> bool:
+    m = minimize_level(x)
+    return (x.level, x.coeffs) == (m.level, m.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(promoted(), promoted())
+def test_arithmetic_results_are_canonical_and_hash_consistently(p, q):
+    a, b = minimize_level(p[0]), minimize_level(q[0])
+    results = [a + b, a - b, a * b, -a]
+    if not b.is_zero():
+        results += [a / b, b.inv()]
+    for x in results:
+        assert _canonical(x)
+        if x.level == 1:
+            assert x == x.coeffs[0] and hash(x) == hash(x.coeffs[0])
+    pairs = [(a, b), (a + b - b, a), (a * b, b * a), (a - a, 0)]
+    if not b.is_zero():
+        pairs.append((a * b / b, a))
+    for x, y in pairs:
+        if x == y:
+            assert hash(x) == hash(y)
+
+
+def test_equal_values_hash_equal():
+    assert len({CycloNum.zeta(6), -CycloNum.zeta(3) ** 2}) == 1
+    assert hash(CycloNum.one()) == hash(CycloNum.zeta(4) ** 4) == hash(1)
+    assert CycloNum.one() == CycloNum.zeta(4) ** 4 == 1
+    assert CycloNum.from_rational(F(1, 2)) == F(1, 2)
+    assert hash(CycloNum.from_rational(F(1, 2))) == hash(F(1, 2))
+
+
+def test_constructors_return_minimal_levels():
+    assert CycloNum.zeta(6).level == 3
+    assert CycloNum.zeta(12, 4) == CycloNum.zeta(3)
+    assert CycloNum.zeta(10, 5) == -1
+    assert CycloNum.zeta(8, 4).level == 1
+    assert (CycloNum.zeta(12) ** 2).level == 3
+    assert (CycloNum.zeta(3) * CycloNum.zeta(4) ** 3 * CycloNum.zeta(4)).level == 3
+    for n in (1, 2, 6, 10, 12, 18, 30):
+        for k in range(-n, n):
+            z = CycloNum.zeta(n, k)
+            assert z.level % 4 != 2 and z == minimize_level(z)
+            assert abs(embed_ball(z).center - cmath.exp(2j * cmath.pi * k / n)) < 1e-12
+
+
 def test_galois_apply():
     z = CycloNum.zeta(6)
     assert galois_apply(5, z) == z**5
+    # zeta_6 is stored at level 3, where sigma_2 is complex conjugation
+    assert galois_apply(2, z) == z**5
     with pytest.raises(NotCoprime):
-        galois_apply(2, z)
+        galois_apply(2, CycloNum.zeta(12))
 
 
 def test_angle_exact_rational_turns():

@@ -42,6 +42,7 @@ CASES = [
     ("stokes_arcs_mixed", ["stokes-arcs", "{stokes}", "--point", "inf"], 0),
     ("replay_hyper", ["replay", "{cert_hyper}"], 0),
     ("replay_kloos", ["replay", "{cert_kloos}"], 0),
+    ("replay_kloos0", ["replay", "{cert_kloos0}"], 0),
     ("enumerate", ["enumerate", "--points", "0,1,inf", "--order", "2", "--rank", "1"], 0),
 ]
 
