@@ -528,9 +528,13 @@ def _load_problem(path: str) -> Problem:
 
 
 def _arc_endpoint_json(x):
+    """An exact endpoint as its fraction; an interval as the float nearest
+    its midpoint and a radius, rounded up, that bounds the distance from
+    that float to every point of the interval."""
     if isinstance(x, Fraction):
         return str(x)
-    return {"center": float(x.center), "radius": float(x.radius)}
+    center = float(x.mid)
+    return {"center": center, "radius": math.nextafter(float(abs(x - center).b), math.inf)}
 
 
 def _emit(out, args, human: str, machine: dict):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
+from mpmath.ctx_iv import MPIntervalContext
 
 DEFAULT_PRECISION_BITS = 128
 PRECISION_CAP_BITS = 2048
@@ -370,58 +370,83 @@ def galois_apply(k: int, a: CycloNum) -> CycloNum:
     return CycloNum(n, _reduce_mod_phi(raw, n))
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Complex ball certified to contain a value."""
-
-    center: complex
-    radius: float
-
-    def contains(self, z: complex) -> bool:
-        return abs(complex(self.center) - z) <= self.radius
-
-    def __add__(self, other: "Ball") -> "Ball":
-        return Ball(self.center + other.center, self.radius + other.radius)
-
-    def __mul__(self, other: "Ball") -> "Ball":
-        c = self.center * other.center
-        r = (
-            abs(self.center) * other.radius
-            + abs(other.center) * self.radius
-            + self.radius * other.radius
-        )
-        return Ball(c, r)
+@lru_cache(maxsize=None)
+def _iv_context(bits: int) -> MPIntervalContext:
+    """A private mpmath interval context at the given precision; the
+    shared mpmath.iv is never touched."""
+    ctx = MPIntervalContext()
+    ctx.prec = bits
+    return ctx
 
 
-def embed_ball(a: CycloNum, precision_bits: int = DEFAULT_PRECISION_BITS) -> Ball:
-    """Complex ball containing the image of a under zeta_N -> exp(2*pi*i/N)."""
-    assert precision_bits >= 16
-    size = sum(abs(c) for c in a.coeffs) + 1
-    guard = 24 + max(0, size.numerator.bit_length() - size.denominator.bit_length())
-    work = precision_bits + guard
-    with mpmath.workprec(work):
-        z = mpmath.mpc(0)
-        for i, c in enumerate(a.coeffs):
-            if c == 0:
-                continue
-            term = mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-            if i:
-                ang = 2 * mpmath.pi * i / a.level
-                z += term * mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang))
-            else:
-                z += term
-        center = complex(z)
-    # each arithmetic step is correct to ~2^-work relative precision;
-    # bound the accumulated error generously by the coefficient mass
-    nterms = sum(1 for c in a.coeffs if c != 0) + 1
-    err = float(size) * nterms * 8.0 * 2.0 ** (-work)
-    return Ball(center, err + 2.0 ** (-precision_bits - 4))
+@lru_cache(maxsize=None)
+def _unit_roots(n: int, bits: int) -> tuple:
+    """Intervals containing exp(2*pi*i*k/n) for k < totient(n)."""
+    ctx = _iv_context(bits)
+    return tuple(ctx.exp(2j * ctx.pi * k / n) for k in range(totient(n)))
+
+
+def embed(a: CycloNum, precision_bits: int = DEFAULT_PRECISION_BITS):
+    """Complex interval (an mpmath ivmpc) containing the image of a
+    under zeta_N -> exp(2*pi*i/N), computed at the given precision."""
+    ctx = _iv_context(precision_bits)
+    z = ctx.mpc(0)
+    for c, w in zip(a.coeffs, _unit_roots(a.level, precision_bits)):
+        if c:
+            z += ctx.mpf(c.numerator) / c.denominator * w
+    return z
+
+
+def turns(z):
+    """Real interval containing arg(z)/(2*pi) in (-1/2, 1/2], read
+    modulo 1, for a complex interval z; None when z may contain 0.  A box
+    in the left half-plane is turned by a half first, so that it never
+    meets the cut of arg along the negative real axis."""
+    if 0 in z:
+        return None
+    ctx = z.ctx
+    if z.real < 0:
+        return ctx.arg(-z) / (2 * ctx.pi) + (-0.5 if z.imag < 0 else 0.5)
+    return ctx.arg(z) / (2 * ctx.pi)
+
+
+def shift(x, f: Fraction):
+    """x + f, for x a Fraction or a real interval."""
+    if isinstance(x, Fraction):
+        return x + f
+    return x + x.ctx.mpf(f.numerator) / f.denominator
+
+
+def same_turn(x, y) -> bool:
+    """Whether x - y may be an integer, for x, y each a Fraction or a
+    real interval: whether they may name the same direction in turns."""
+    if isinstance(x, Fraction):
+        x, y = y, x
+    d = shift(x, -y) if isinstance(y, Fraction) else x - y
+    if isinstance(d, Fraction):
+        return d.denominator == 1
+    k = int(d.a)  # truncated, so ceil(d.a) is k or k + 1
+    return any(d.a <= j <= d.b for j in (k, k + 1))
+
+
+def _refine(a: CycloNum, decide):
+    """decide(embed(a, bits)) for bits doubling up to the cap, until it
+    returns something other than None."""
+    bits = DEFAULT_PRECISION_BITS
+    while bits <= PRECISION_CAP_BITS:
+        out = decide(embed(a, bits))
+        if out is not None:
+            return out
+        bits *= 2
+    raise UndecidedSign(f"undecided at {PRECISION_CAP_BITS} bits")
 
 
 def _positive_rational_angle(a: CycloNum):
     """If a = rho * zeta_level^k with rho rational != 0, return the
     exact angle in turns, else None."""
     n = a.level
+    if not (a * galois_apply(-1, a)).is_rational():
+        return None  # |a|^2 = rho^2 would be rational
     for k in range(n):
         b = a * CycloNum.zeta(n, (-k) % n)
         if b.is_rational():
@@ -433,50 +458,34 @@ def _positive_rational_angle(a: CycloNum):
     return None
 
 
-def angle_exact(a: CycloNum, precision_bits: int = DEFAULT_PRECISION_BITS):
-    """Exact angle of a in turns when a is a rational multiple of a root
-    of unity (detected through small powers); otherwise a certified real
-    ball for arg(a)/2pi in (-1/2, 1/2]."""
+def angle_exact(a: CycloNum):
+    """Angle of a in turns.  When some power a^m, m <= 8, is a rational
+    multiple of a root of unity, the angle is one of m rational branch
+    candidates, and it is returned as that Fraction in [0, 1): the only
+    candidate inside a certified interval for arg(a)/(2*pi).  Otherwise
+    it is returned as that interval (an mpmath ivmpf, read modulo 1).
+    The precision doubles up to PRECISION_CAP_BITS before UndecidedSign."""
     if a.is_zero():
         raise ZeroArgument("angle of zero")
+    candidates = None
+    power = a
     for m in range(1, 9):
-        c = a**m
-        ang = _positive_rational_angle(c)
-        if ang is None:
-            continue
-        if m == 1:
-            return ang
-        # the angle of a is (ang + j)/m for some j; pick j numerically
-        candidates = [Fraction(ang + j, m) % 1 for j in range(m)]
-        approx = _angle_ball(embed_ball(a, precision_bits))
-        gap = Fraction(1, 2 * m * ang.denominator * m)
-        for cand in candidates:
-            delta = abs(_circle_dist(float(cand), approx[0]))
-            if delta <= approx[1] + 1e-18:
-                if approx[1] < float(gap):
-                    return cand
-        # precision did not separate candidates; refine
-        refined = _angle_ball(embed_ball(a, min(4 * precision_bits, PRECISION_CAP_BITS)))
-        for cand in candidates:
-            if abs(_circle_dist(float(cand), refined[0])) <= refined[1]:
-                return cand
-        raise UndecidedSign("could not certify exact angle branch")
-    return Ball(*_angle_ball(embed_ball(a, precision_bits)))
+        ang = _positive_rational_angle(power)
+        if ang is not None:
+            candidates = [(ang + j) / m % 1 for j in range(m)]
+            break
+        power = power * a
+    if candidates is not None and len(candidates) == 1:
+        return candidates[0]
 
+    def decide(z):
+        t = turns(z)
+        if t is None or candidates is None:
+            return t
+        inside = [c for c in candidates if same_turn(c, t)]
+        return inside[0] if len(inside) == 1 else None
 
-def _circle_dist(x: float, y: float) -> float:
-    d = (x - y) % 1.0
-    return min(d, 1.0 - d)
-
-
-def _angle_ball(b: Ball) -> tuple[float, float]:
-    """(center, radius) in turns of the angular sector containing b."""
-    r = abs(b.center)
-    if r <= b.radius:
-        raise UndecidedSign("argument of a ball containing zero")
-    theta = math.atan2(b.center.imag, b.center.real) / (2 * math.pi)
-    ang_err = math.asin(min(1.0, b.radius / r)) / (2 * math.pi) + 1e-15
-    return theta, ang_err
+    return _refine(a, decide)
 
 
 def certified_re_sign(a: CycloNum) -> int:
@@ -488,13 +497,8 @@ def certified_re_sign(a: CycloNum) -> int:
     re2 = a + galois_apply(-1 % a.level if a.level > 1 else 1, a)
     if re2.is_zero():
         return 0
-    bits = DEFAULT_PRECISION_BITS
-    while bits <= PRECISION_CAP_BITS:
-        b = embed_ball(re2, bits)
-        if abs(b.center.real) > b.radius:
-            return 1 if b.center.real > 0 else -1
-        bits *= 2
-    raise UndecidedSign("real-part sign undecided at precision cap")
+    # interval comparisons are True or False when decided, None when not
+    return _refine(re2, lambda z: 1 if z.real > 0 else -1 if z.real < 0 else None)
 
 
 def minimize_level(a: CycloNum) -> CycloNum:

@@ -17,15 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
-from .cyclo import (
-    Ball,
-    CycloNum,
-    DivisionByZero,
-    _positive_rational_angle,
-    embed_ball,
-)
+from .cyclo import CycloNum, DivisionByZero, _positive_rational_angle, embed
 
 POWER_RELATION_BOUND = 16
 
@@ -97,13 +89,12 @@ class RadicalCoeff:
     terms: tuple[tuple[Monomial, CycloNum], ...]
 
     @staticmethod
-    def make(terms, tower: RadicalTower | None = None):
+    def make(terms):
         """Normalize a list of (monomial, coeff) pairs; collapse to a
         CycloNum when no radical content remains."""
-        tower = tower or TOWER
         by_mono: dict[Monomial, CycloNum] = {}
         for mono, coeff in terms:
-            mono, coeff = _normalize_monomial(mono, coeff, tower)
+            mono, coeff = _normalize_monomial(mono, coeff)
             if mono in by_mono:
                 coeff = by_mono[mono] + coeff
             by_mono[mono] = coeff
@@ -128,10 +119,10 @@ class RadicalCoeff:
     __hash__ = None
 
 
-def _normalize_monomial(mono, coeff: CycloNum, tower: RadicalTower):
+def _normalize_monomial(mono, coeff: CycloNum):
     acc: dict[int, Fraction] = {}
     for idx, e in mono:
-        base, k = tower.resolve(idx)
+        base, k = TOWER.resolve(idx)
         e = Fraction(e) * k
         acc[base] = acc.get(base, Fraction(0)) + e
     out = []
@@ -139,7 +130,7 @@ def _normalize_monomial(mono, coeff: CycloNum, tower: RadicalTower):
         n = math.floor(e)
         frac = e - n
         if n:
-            coeff = coeff * tower.entries[base] ** n
+            coeff = coeff * TOWER.entries[base] ** n
         if frac:
             out.append((base, frac))
     out.sort()
@@ -173,13 +164,12 @@ def csub(a, b):
     return cadd(a, cneg(b))
 
 
-def cmul(a, b, tower: RadicalTower | None = None):
-    tower = tower or TOWER
+def cmul(a, b):
     out = []
     for m1, c1 in _terms_of(a):
         for m2, c2 in _terms_of(b):
             out.append((tuple(list(m1) + list(m2)), c1 * c2))
-    return RadicalCoeff.make(out, tower)
+    return RadicalCoeff.make(out)
 
 
 def cis_zero(a) -> bool:
@@ -192,10 +182,9 @@ def ceq(a, b) -> bool:
     return cis_zero(csub(a, b))
 
 
-def cinv(a, tower: RadicalTower | None = None):
+def cinv(a):
     """Inverse; defined for plain CycloNums and single-monomial radical
     coefficients (all the series engine needs)."""
-    tower = tower or TOWER
     terms = _terms_of(a)
     if not isinstance(a, RadicalCoeff):
         c = terms[0][1]
@@ -212,19 +201,19 @@ def cinv(a, tower: RadicalTower | None = None):
     for idx, e in mono:
         # b^-e = b^(1-e) / b
         inv_mono.append((idx, 1 - e))
-        coeff = coeff * tower.value(idx).inv()
-    return RadicalCoeff.make([(tuple(inv_mono), coeff)], tower)
+        coeff = coeff * TOWER.value(idx).inv()
+    return RadicalCoeff.make([(tuple(inv_mono), coeff)])
 
 
-def cpow(a, k: int, tower: RadicalTower | None = None):
+def cpow(a, k: int):
     if k < 0:
-        return cpow(cinv(a, tower), -k, tower)
+        return cpow(cinv(a), -k)
     result = CycloNum.one()
     base = a
     while k:
         if k & 1:
-            result = cmul(result, base, tower)
-        base = cmul(base, base, tower)
+            result = cmul(result, base)
+        base = cmul(base, base)
         k >>= 1
     return result
 
@@ -272,13 +261,13 @@ def _prime_factorization(m: int) -> dict[int, int] | None:
     return out
 
 
-def _rational_root_monomial(rho: Fraction, n: int, tower: RadicalTower):
+def _rational_root_monomial(rho: Fraction, n: int):
     """(monomial, rational factor) with rho^(1/n) = factor * monomial,
     radicands restricted to primes so products of roots stay canonical."""
     num = _prime_factorization(rho.numerator)
     den = _prime_factorization(rho.denominator)
     if num is None or den is None:
-        idx, k = tower.register(CycloNum.from_rational(rho))
+        idx, k = TOWER.register(CycloNum.from_rational(rho))
         return ((idx, Fraction(k, n)),), Fraction(1)
     exps = dict(num)
     for p, a in den.items():
@@ -292,15 +281,14 @@ def _rational_root_monomial(rho: Fraction, n: int, tower: RadicalTower):
         if whole:
             rat *= Fraction(p) ** whole
         if frac:
-            idx, k = tower.register(CycloNum.from_rational(p))
+            idx, k = TOWER.register(CycloNum.from_rational(p))
             mono.append((idx, k * frac))
     return tuple(mono), rat
 
 
-def croot(a, n: int, tower: RadicalTower | None = None):
+def croot(a, n: int):
     """An n-th root of a nonzero coefficient (one branch; the others are
     roots-of-unity multiples, i.e. Galois conjugates downstream)."""
-    tower = tower or TOWER
     if n == 1:
         return a
     if cis_zero(a):
@@ -309,9 +297,9 @@ def croot(a, n: int, tower: RadicalTower | None = None):
         if len(a.terms) != 1:
             raise NonInvertibleLeadingTerm("root of a multi-term radical coefficient")
         mono, c = a.terms[0]
-        root_c = croot(c, n, tower)
+        root_c = croot(c, n)
         out_mono = [(idx, e / n) for idx, e in mono]
-        return cmul(RadicalCoeff.make([(tuple(out_mono), CycloNum.one())], tower), root_c, tower)
+        return cmul(RadicalCoeff.make([(tuple(out_mono), CycloNum.one())]), root_c)
     if not isinstance(a, CycloNum):
         a = CycloNum.from_rational(a)
     ang = _positive_rational_angle(a)
@@ -325,30 +313,29 @@ def croot(a, n: int, tower: RadicalTower | None = None):
         rr = rational_nth_root(rho, n)
         if rr is not None:
             return zeta_part * rr
-        mono, rat = _rational_root_monomial(rho, n, tower)
-        return cmul(
-            RadicalCoeff.make([(mono, CycloNum.from_rational(rat))], tower), zeta_part, tower
-        )
-    idx, k = tower.register(a)
-    return RadicalCoeff.make([(((idx, Fraction(k, n)),), CycloNum.one())], tower)
+        mono, rat = _rational_root_monomial(rho, n)
+        return cmul(RadicalCoeff.make([(mono, CycloNum.from_rational(rat))]), zeta_part)
+    idx, k = TOWER.register(a)
+    return RadicalCoeff.make([(((idx, Fraction(k, n)),), CycloNum.one())])
 
 
-def cembed(a, precision_bits: int = 128, tower: RadicalTower | None = None) -> Ball:
-    """Numeric ball for a coefficient, principal branch for radicals."""
-    tower = tower or TOWER
-    total = Ball(0j, 0.0)
+def cembed(a):
+    """Complex interval (an mpmath ivmpc) containing a coefficient,
+    principal branch for radicals."""
+    total = 0
     for mono, c in _terms_of(a):
-        b = embed_ball(c, precision_bits)
+        z = embed(c)
         for idx, e in mono:
-            v = embed_ball(tower.value(idx), precision_bits)
-            with mpmath.workprec(precision_bits + 16):
-                z = mpmath.mpc(v.center)
-                w = complex(mpmath.power(z, mpmath.mpf(e.numerator) / e.denominator))
-            mag = abs(w)
-            rel = v.radius / max(abs(complex(v.center)), 1e-300)
-            b = b * Ball(w, mag * (abs(float(e)) * rel * 4 + 2.0 ** (-precision_bits)))
-        total = total + b
+            ctx = z.ctx
+            z *= ctx.power(embed(TOWER.value(idx)), ctx.mpf(e.numerator) / e.denominator)
+        total += z
     return total
+
+
+def is_positive_monomial(mono: Monomial) -> bool:
+    """Whether every radicand of the monomial is a positive rational, so
+    that the monomial itself is a positive real."""
+    return all(v.is_rational() and v.as_rational() > 0 for v in (TOWER.value(i) for i, _ in mono))
 
 
 def csort_key(a):

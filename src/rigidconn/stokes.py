@@ -5,8 +5,12 @@ psi <=_theta phi holds where psi = phi or Re((psi-phi)(eps e^{i theta}))
 is eventually negative.  With leading term a z^{-q} of the difference on
 the p-fold cover, the strict locus is {theta : cos(arg a - q theta) < 0}
 -- a union of q open arcs with 2q boundary directions.  Angles are in
-turns, exact rationals whenever the leading coefficient has a rational
-angle, certified balls otherwise.
+turns.  They are exact Fractions whenever the leading coefficient has a
+rational angle: a CycloNum whose angle angle_exact finds, or a radical
+monomial over positive rational radicands times such a CycloNum.
+Otherwise they are mpmath real intervals (ivmpf) certified to contain
+the angle, read modulo 1; a direction is then decided only when its
+interval stays off the boundary, and UndecidedSign is raised if not.
 """
 
 from __future__ import annotations
@@ -15,9 +19,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import Ball, CycloNum, UndecidedSign, _angle_ball, angle_exact
+from mpmath.ctx_iv import ivmpf
+
+from .cyclo import CycloNum, UndecidedSign, angle_exact, same_turn, shift, turns
 from .puiseux import PolarPart, galois_act, polar_add, polar_neg
-from .radicals import cembed
+from .radicals import RadicalCoeff, cembed, is_positive_monomial
 
 
 class StokesError(Exception):
@@ -35,10 +41,11 @@ class IndexNotClosed(StokesError):
 @dataclass(frozen=True)
 class Arc:
     """Open arc on the cover circle, counterclockwise from start to end;
-    endpoints in turns, normalized to [0, 1) when exact."""
+    endpoints in turns, normalized to [0, 1) when exact, and with the
+    midpoint in [0, 1) when an interval."""
 
-    start: Fraction | Ball
-    end: Fraction | Ball
+    start: Fraction | ivmpf
+    end: Fraction | ivmpf
 
 
 class _FullCircle:
@@ -50,12 +57,17 @@ FULL_CIRCLE = _FullCircle()
 
 
 def _coeff_angle(a):
-    """Angle of a coefficient in turns: Fraction when exact, Ball else."""
-    if isinstance(a, (int, Fraction)):
-        a = CycloNum.from_rational(a)
-    if isinstance(a, CycloNum):
-        return angle_exact(a)
-    return Ball(*_angle_ball(cembed(a)))
+    """Angle of a coefficient in turns: a Fraction when exact, else a
+    real interval."""
+    if isinstance(a, RadicalCoeff):
+        (mono, c), *rest = a.terms
+        if rest or not is_positive_monomial(mono):
+            t = turns(cembed(a))
+            if t is None:
+                raise UndecidedSign("angle of a coefficient whose interval contains 0")
+            return t
+        a = c
+    return angle_exact(a if isinstance(a, CycloNum) else CycloNum.from_rational(a))
 
 
 def _leading_difference(psi: PolarPart, phi: PolarPart, p: int):
@@ -69,14 +81,16 @@ def _leading_difference(psi: PolarPart, phi: PolarPart, p: int):
     return j * (p // diff.ram), a
 
 
-def _arc_point(x, delta):
+def _mod1(x):
+    """x reduced into [0, 1): exactly for a Fraction, by the integer part
+    of its midpoint for an interval."""
     if isinstance(x, Fraction):
-        return (x + delta) % 1
-    return Ball(float((x.center + float(delta)) % 1.0), x.radius)
+        return x % 1
+    return x - math.floor(float(x.mid))
 
 
 def _rotate_arc(arc: Arc, delta: Fraction) -> Arc:
-    return Arc(_arc_point(arc.start, delta), _arc_point(arc.end, delta))
+    return Arc(_mod1(shift(arc.start, delta)), _mod1(shift(arc.end, delta)))
 
 
 def order_arcs(psi: PolarPart, phi: PolarPart, p: int | None = None):
@@ -89,18 +103,14 @@ def order_arcs(psi: PolarPart, phi: PolarPart, p: int | None = None):
         return FULL_CIRCLE, ()
     q, a = lead
     alpha = _coeff_angle(a)
-    arcs = []
-    for k in range(q):
-        if isinstance(alpha, Fraction):
-            start = (Fraction(alpha - Fraction(3, 4) - k, q)) % 1
-            end = (Fraction(alpha - Fraction(1, 4) - k, q)) % 1
-        else:
-            start = Ball(
-                float((alpha.center - 0.75 - k) / q % 1.0), alpha.radius / q
-            )
-            end = Ball(float((alpha.center - 0.25 - k) / q % 1.0), alpha.radius / q)
-        arcs.append(Arc(start, end))
-    return tuple(arcs), tuple(arcs)
+    arcs = tuple(
+        Arc(
+            _mod1(shift(alpha, -Fraction(3, 4) - k) / q),
+            _mod1(shift(alpha, -Fraction(1, 4) - k) / q),
+        )
+        for k in range(q)
+    )
+    return arcs, arcs
 
 
 def boundary_directions(psi: PolarPart, phi: PolarPart, p: int | None = None):
@@ -120,19 +130,17 @@ def strictly_less(psi: PolarPart, phi: PolarPart, theta: Fraction, p: int | None
     if lead is None:
         return False
     q, a = lead
-    alpha = _coeff_angle(a)
-    theta = Fraction(theta)
-    if isinstance(alpha, Fraction):
-        u = (alpha - q * theta) % 1
+    u = _mod1(shift(_coeff_angle(a), -q * Fraction(theta)))
+    if isinstance(u, Fraction):
         if u == Fraction(1, 4) or u == Fraction(3, 4):
             raise BoundaryDirection(f"theta = {theta} is a Stokes direction")
         return Fraction(1, 4) < u < Fraction(3, 4)
-    u = (alpha.center - q * float(theta)) % 1.0
-    # certify distance to the quarter points before reading off the sign
-    d = min(abs(u - 0.25), abs(u - 0.75), abs(u - 0.25 + 1), abs(u - 0.75 - 1))
-    if d <= alpha.radius:
+    # interval comparisons: True or False when decided, None when not;
+    # the quarter points are dyadic, so the floats are exact
+    above, below = u > 0.25, u < 0.75
+    if above is None or below is None:
         raise UndecidedSign("direction too close to a Stokes boundary to certify")
-    return 0.25 < u < 0.75
+    return above and below
 
 
 @dataclass(frozen=True)
@@ -191,21 +199,10 @@ def _arcs_agree(a, b) -> bool:
         return a is FULL_CIRCLE and b is FULL_CIRCLE
     if len(a) != len(b):
         return False
-
-    def pt_eq(x, y):
-        if isinstance(x, Fraction) and isinstance(y, Fraction):
-            return x == y
-        cx = float(x.center) if isinstance(x, Ball) else float(x)
-        cy = float(y.center) if isinstance(y, Ball) else float(y)
-        rx = x.radius if isinstance(x, Ball) else 0.0
-        ry = y.radius if isinstance(y, Ball) else 0.0
-        d = abs(cx - cy) % 1.0
-        return min(d, 1.0 - d) <= rx + ry + 1e-12
-
     used = [False] * len(b)
     for arc in a:
         for i, other in enumerate(b):
-            if not used[i] and pt_eq(arc.start, other.start) and pt_eq(arc.end, other.end):
+            if not used[i] and same_turn(arc.start, other.start) and same_turn(arc.end, other.end):
                 used[i] = True
                 break
         else:

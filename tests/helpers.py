@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from rigidconn.cyclo import CycloNum
+import mpmath
+
+from rigidconn.cyclo import PRECISION_CAP_BITS, CycloNum
 from rigidconn.formal import (
     INF,
     FormalType,
@@ -13,6 +15,7 @@ from rigidconn.formal import (
     RegularPart,
 )
 from rigidconn.puiseux import PolarPart
+from rigidconn.radicals import TOWER, RadicalCoeff
 
 F = Fraction
 
@@ -300,3 +303,58 @@ def fourier_battery() -> list[Problem]:
 
 def zeta6(k: int) -> CycloNum:
     return CycloNum.zeta(6) ** k
+
+
+# -- 1000-bit references for the certified numerics -------------------
+
+REF_BITS = 1000
+# a bound on the error of a REF_BITS reference for the small values the
+# tests draw
+REF_TOL = mpmath.mpf(2) ** -900
+
+
+def ref_value(x):
+    """x to REF_BITS with mpmath's plain (not interval) arithmetic: a
+    CycloNum through exp(2*pi*i/N), a radical coefficient through the
+    principal powers of its radicands."""
+    with mpmath.workprec(REF_BITS):
+        if isinstance(x, RadicalCoeff):
+            return mpmath.fsum(
+                ref_value(c)
+                * mpmath.fprod(
+                    mpmath.power(ref_value(TOWER.value(i)), mpmath.mpf(e.numerator) / e.denominator)
+                    for i, e in mono
+                )
+                for mono, c in x.terms
+            )
+        z = mpmath.exp(2j * mpmath.pi / x.level)
+        return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * z**i for i, c in enumerate(x.coeffs))
+
+
+def ref_turns(z):
+    """arg(z)/(2*pi) of a reference value, in (-1/2, 1/2]."""
+    with mpmath.workprec(REF_BITS):
+        return mpmath.arg(z) / (2 * mpmath.pi)
+
+
+def holds(iv, x) -> bool:
+    """Whether the real mpmath interval iv contains the real reference x,
+    up to the reference's own error."""
+    with mpmath.workprec(4 * PRECISION_CAP_BITS):  # endpoints read exactly
+        return mpmath.mpf(iv.a) - REF_TOL <= x <= mpmath.mpf(iv.b) + REF_TOL
+
+
+def encloses(z, x) -> bool:
+    """Whether the complex mpmath interval z contains the reference x."""
+    return holds(z.real, mpmath.re(x)) and holds(z.imag, mpmath.im(x))
+
+
+def angle_holds(t, x) -> bool:
+    """Whether an angle in turns -- a Fraction, or a real interval read
+    modulo 1 -- is, or contains, the reference angle x modulo 1."""
+    with mpmath.workprec(REF_BITS):
+        x -= mpmath.floor(x)
+        if isinstance(t, Fraction):
+            d = x - mpmath.mpf(t.numerator) / t.denominator
+            return abs(d - mpmath.nint(d)) <= REF_TOL
+        return any(holds(t, x + k) for k in (-1, 0, 1))

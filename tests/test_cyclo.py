@@ -1,24 +1,29 @@
 """Exact cyclotomic arithmetic, certified embeddings and angles."""
 
-import cmath
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rigidconn.cyclo import (
+    PRECISION_CAP_BITS,
     CycloNum,
     NotCoprime,
     angle_exact,
     certified_re_sign,
     cyclotomic_coeffs,
-    embed_ball,
+    embed,
     galois_apply,
     minimize_level,
     totient,
 )
+from rigidconn.puiseux import PolarPart
+from rigidconn.radicals import cembed, cmul, croot
+from rigidconn.stokes import order_arcs
+
+from helpers import REF_BITS, angle_holds, encloses, ref_turns, ref_value
 
 F = Fraction
 
@@ -70,13 +75,6 @@ def promoted(draw):
     return CycloNum(m, tuple(coeffs)), n
 
 
-def _embed(a: CycloNum):
-    with mpmath.workprec(200):
-        z = mpmath.exp(2j * mpmath.pi / a.level)
-        terms = (mpmath.mpf(c.numerator) / c.denominator * z**i for i, c in enumerate(a.coeffs))
-        return sum(terms, mpmath.mpc(0))
-
-
 @settings(max_examples=300, deadline=None)
 @given(promoted())
 def test_minimize_level_is_independent_of_the_ambient_level(pair):
@@ -85,9 +83,9 @@ def test_minimize_level_is_independent_of_the_ambient_level(pair):
     want = minimize_level(b)
     assert (got.level, got.coeffs) == (want.level, want.coeffs)
     assert got.level % 4 != 2
-    with mpmath.workprec(200):
+    with mpmath.workprec(REF_BITS):
         mass = 1 + sum(abs(c) for c in b.coeffs)
-        assert abs(_embed(got) - _embed(b)) <= mpmath.mpf(2) ** -180 * mass
+        assert abs(ref_value(got) - ref_value(b)) <= mpmath.mpf(2) ** -900 * mass
 
 
 def _canonical(x: CycloNum) -> bool:
@@ -133,7 +131,8 @@ def test_constructors_return_minimal_levels():
         for k in range(-n, n):
             z = CycloNum.zeta(n, k)
             assert z.level % 4 != 2 and z == minimize_level(z)
-            assert abs(embed_ball(z).center - cmath.exp(2j * cmath.pi * k / n)) < 1e-12
+            with mpmath.workprec(REF_BITS):
+                assert encloses(embed(z), mpmath.expjpi(mpmath.mpf(2 * k) / n))
 
 
 def test_galois_apply():
@@ -163,12 +162,63 @@ def test_certified_re_sign():
 
 
 def test_embed_ball():
-    b = embed_ball(CycloNum.zeta(4))
-    assert abs(b.center - 1j) <= b.radius + 1e-15
-    b = embed_ball(CycloNum.zeta(3))
-    assert abs(b.center - (-0.5 + 0.8660254037844386j)) <= b.radius + 1e-12
+    # strict containment, decided by interval comparisons: each holds
+    # only when true for every point of the interval
+    assert 1j in embed(CycloNum.zeta(4))
+    z = embed(CycloNum.zeta(3))
+    lo, hi = z.imag.a, z.imag.b
+    assert -0.5 in z.real and 0 < lo and lo * lo <= 0.75 <= hi * hi  # sqrt(3)/2
+    for bits in (128, PRECISION_CAP_BITS):
+        assert encloses(embed(CycloNum.zeta(7), bits), ref_value(CycloNum.zeta(7)))
 
 
 def test_cyclotomic_polynomial_degree():
     assert len(cyclotomic_coeffs(8)) - 1 == totient(8)
     assert len(cyclotomic_coeffs(9)) - 1 == totient(9)
+
+
+@st.composite
+def cyclo_values(draw):
+    """A nonzero CycloNum drawn at a level from 1 to 60, stored at its
+    minimal level."""
+    n = draw(st.integers(1, 60))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    a = minimize_level(CycloNum(n, tuple(draw(st.lists(coeff, min_size=totient(n), max_size=totient(n))))))
+    assume(not a.is_zero())
+    return a
+
+
+# radicands for croot: a small fixed set, because registering a radicand
+# in the global tower costs powers of every radicand already there
+RADICANDS = [
+    CycloNum.from_rational(2),
+    CycloNum.from_rational(F(-3, 5)),
+    CycloNum.one() + CycloNum.zeta(5),
+    CycloNum.from_rational(2) + CycloNum.zeta(3),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(cyclo_values(), st.sampled_from([None] + RADICANDS), st.sampled_from([2, 3]))
+@example(CycloNum.zeta(7), None, 2)
+@example(CycloNum.one(), RADICANDS[2], 3)
+@example(CycloNum.one(), RADICANDS[0], 2)
+def test_certified_numbers_contain_the_1000_bit_values(a, b, n):
+    """x is a, or a times the radical croot(b, n)."""
+    x = a if b is None else cmul(a, croot(b, n))
+    ref = ref_value(x)
+    assert encloses(cembed(x), ref)
+    if b is None:
+        assert encloses(embed(x), ref)
+        assert angle_holds(angle_exact(x), ref_turns(ref))
+        with mpmath.workprec(REF_BITS):
+            assert certified_re_sign(x) == mpmath.sign(mpmath.chop(mpmath.re(ref), 2**-900))
+    # psi = 0 against phi = x t^(-2): the leading difference is -x, q = 2,
+    # and the arcs run from (alpha - 3/4 - k)/2 to (alpha - 1/4 - k)/2,
+    # k = 0, 1, in an order that depends on the representative of alpha
+    _, arcs = order_arcs(PolarPart.zero(), PolarPart.unramified({2: x}))
+    with mpmath.workprec(REF_BITS):  # mpmath rounds even a negation
+        alpha = ref_turns(-ref)
+        want = [((alpha - 0.75 - k) / 2, (alpha - 0.25 - k) / 2) for k in range(2)]
+    for arc in arcs:
+        assert any(angle_holds(arc.start, s) and angle_holds(arc.end, e) for s, e in want)

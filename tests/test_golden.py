@@ -6,8 +6,9 @@ problem files are themselves golden: they must equal ``print_problem``
 of the corresponding ``helpers`` constructor.  Two hand-written inputs
 add what the helpers lack: ``kloos0.json`` (a ramified finite point, so
 the reduction starts with a Moebius step) and ``stokes.json`` (leading
-differences with a non-rational angle and a radical coefficient, so arc
-endpoints are certified balls).
+differences with a non-rational angle, whose arc endpoints are printed
+as a certified center and radius, and a radical coefficient over a
+positive rational radicand, whose endpoints stay exact fractions).
 """
 
 import io

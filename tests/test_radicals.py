@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import mpmath
+
 from rigidconn.cyclo import CycloNum
 from rigidconn.radicals import (
     RadicalCoeff,
@@ -14,6 +16,8 @@ from rigidconn.radicals import (
     csort_key,
     rational_nth_root,
 )
+
+from helpers import REF_BITS, REF_TOL, encloses, ref_value
 
 F = Fraction
 
@@ -82,8 +86,17 @@ def test_nested_product_collapses():
 
 
 def test_cembed_accuracy():
-    b = cembed(croot(c(2), 2))
-    assert abs(b.center - 2**0.5) <= b.radius + 1e-12
+    # strict containment of sqrt(2), decided by interval comparisons,
+    # each of which holds only when true for every point of the interval
+    z = cembed(croot(c(2), 2))
+    lo, hi = z.real.a, z.real.b
+    assert 0 in z.imag and 0 < lo and lo * lo <= 2 <= hi * hi
+    # the cube root of 1 + zeta_5 = 2 cos(pi/5) e^(i pi/5), principal branch
+    x = croot(c(1) + CycloNum.zeta(5), 3)
+    assert encloses(cembed(x), ref_value(x))
+    with mpmath.workprec(REF_BITS):
+        want = mpmath.cbrt(2 * mpmath.cospi(mpmath.mpf(1) / 5)) * mpmath.expjpi(mpmath.mpf(1) / 15)
+        assert abs(ref_value(x) - want) <= REF_TOL
 
 
 def test_sort_key_total_order():

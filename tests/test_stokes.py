@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from rigidconn.cyclo import CycloNum
 from rigidconn.puiseux import PolarPart, galois_act
+from rigidconn.radicals import croot
 from rigidconn.stokes import (
     FULL_CIRCLE,
     Arc,
@@ -19,6 +21,8 @@ from rigidconn.stokes import (
     order_arcs,
     strictly_less,
 )
+
+from helpers import REF_BITS, ref_turns, ref_value
 
 F = Fraction
 ZERO = PolarPart.zero()
@@ -95,6 +99,18 @@ def test_galois_equivariance():
     assert not check_galois_equivariance(G3, 1)
 
 
+def test_galois_equivariance_with_interval_endpoints():
+    # 2 + zeta_5 and its cube root have irrational angles, so the arcs
+    # are intervals, rotated and matched modulo 1
+    c = CycloNum.from_rational(2) + CycloNum.zeta(5)
+    for coeff in (c, croot(c, 3)):
+        ram = PolarPart.make(2, [(1, coeff)])
+        G = GradedStokes.make([(ram, 1), (galois_act(ram, 1), 1), (ZERO, 1)])
+        assert not isinstance(order_arcs(ram, ZERO)[1][0].start, Fraction)
+        assert check_galois_equivariance(G, 1)
+        assert not check_galois_equivariance(GradedStokes.make([(ram, 2), (galois_act(ram, 1), 1)]), 1)
+
+
 def test_galois_index_not_closed():
     ram = PolarPart.make(2, [(1, 1)])
     G = GradedStokes.make([(ram, 1)])
@@ -109,3 +125,34 @@ def test_ball_endpoints_for_irrational_angle():
     phi = PolarPart.unramified({1: c})
     le, strict = order_arcs(ZERO, phi)
     assert len(strict) == 1
+    assert not isinstance(strict[0].start, Fraction)
+
+
+def test_radical_monomial_over_positive_rationals_has_exact_arcs():
+    # sqrt(2) has angle 0 and sqrt(-3/5) = zeta_4 sqrt(3/5) angle 1/4:
+    # the arc of phi <= 0 runs from alpha - 3/4 to alpha - 1/4
+    for radicand, alpha in ((2, F(0)), (F(-3, 5), F(1, 4))):
+        phi = PolarPart.unramified({1: croot(CycloNum.from_rational(radicand), 2)})
+        _, strict = order_arcs(phi, ZERO)
+        assert strict == (Arc((alpha - F(3, 4)) % 1, (alpha - F(1, 4)) % 1),)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_strictly_less_decides_1e20_off_an_irrational_boundary(q):
+    # psi = 0, phi = c t^(-q): the leading difference -c has an
+    # irrational angle alpha, and psi <_theta phi iff cos 2 pi (alpha -
+    # q theta) < 0, which flips where alpha - q theta = 1/4 or 3/4 mod 1
+    c = CycloNum.from_rational(2) + CycloNum.zeta(5)
+    phi = PolarPart.unramified({q: c})
+    with mpmath.workprec(REF_BITS):
+        alpha = ref_turns(-ref_value(c))
+        for quarter in (F(1, 4), F(3, 4)):
+            boundary = (alpha - mpmath.mpf(quarter.numerator) / quarter.denominator) / q
+            near = F(int(mpmath.nint(boundary * 10**40)), 10**40)
+            got = []
+            for theta in (near - F(1, 10**20), near + F(1, 10**20)):
+                cos = mpmath.cospi(2 * (alpha - q * mpmath.mpf(theta.numerator) / theta.denominator))
+                assert 1e-21 < abs(cos) < 1e-18
+                got.append(strictly_less(ZERO, phi, theta))
+                assert got[-1] == (cos < 0)
+            assert got[0] != got[1]
