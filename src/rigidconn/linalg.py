@@ -1,8 +1,10 @@
 """Dense exact linear algebra over cyclotomic fields.
 
-Desk-scale Gaussian elimination: kernels, inverses, quotient actions and
-Jordan data against a candidate eigenvalue list.  Matrices are lists of
-rows of CycloNum.
+Desk-scale Gaussian elimination: kernels, inverses and quotient actions.
+Jordan data against a candidate eigenvalue list comes from the
+characteristic polynomial: the multiplicity of each candidate as a root,
+with ranks of powers only for repeated eigenvalues.  Matrices are lists
+of rows of CycloNum.
 """
 
 from __future__ import annotations
@@ -119,40 +121,84 @@ def mat_inv(a: Matrix) -> Matrix:
     return [row[n:] for row in red]
 
 
-def mat_pow_ker_dims(a: Matrix, lam: CycloNum, max_k: int) -> list[int]:
-    """dim ker (a - lam I)^k for k = 1..max_k."""
+def charpoly(a: Matrix) -> list[CycloNum]:
+    """Coefficients c_0..c_n of det(x I - a), constant term first, by
+    Faddeev-LeVerrier: M_1 = I, c_{n-k} = -tr(a M_k) / k and
+    M_{k+1} = a M_k + c_{n-k} I; n products, divisions by 1..n only."""
+    n = len(a)
+    c = [CycloNum.zero()] * n + [CycloNum.one()]
+    m = identity(n)
+    for k in range(1, n + 1):
+        am = mat_mul(a, m)
+        c[n - k] = -sum((am[i][i] for i in range(n)), CycloNum.zero()) * Fraction(1, k)
+        m = am
+        for i in range(n):
+            m[i][i] = m[i][i] + c[n - k]
+    return c
+
+
+def _divide_linear(p: list[CycloNum], lam: CycloNum) -> tuple[list[CycloNum], CycloNum]:
+    """Synthetic division of p (constant term first) by x - lam:
+    (quotient, remainder p(lam))."""
+    acc = CycloNum.zero()
+    q = []
+    for c in reversed(p):
+        acc = acc * lam + c
+        q.append(acc)
+    r = q.pop()
+    return q[::-1], r
+
+
+def _block_sizes(a: Matrix, lam: CycloNum, m: int) -> list[int]:
+    """Jordan block sizes, descending, of the eigenvalue lam of algebraic
+    multiplicity m, from d_k = dim ker (a - lam I)^k for k = 1, 2, ...:
+    g_k = d_k - d_{k-1} blocks have size >= k, and together they exceed
+    k by m - d_k.  The scan stops once at most one block can be longer
+    than k (g_k = 1 or m - d_k <= 1): that block takes the whole excess."""
+    if m == 1:
+        return [1]
     n = len(a)
     b = mat_sub(a, mat_scale(identity(n), lam))
-    dims = []
-    p = identity(n)
-    for _ in range(max_k):
-        p = mat_mul(p, b)
-        dims.append(n - mat_rank(p))
-    return dims
+    dims = [0]
+    power = b
+    while True:
+        dims.append(n - mat_rank(power))
+        k = len(dims) - 1
+        g, excess = dims[k] - dims[k - 1], m - dims[k]
+        if g == 1 or excess <= 1:
+            break
+        power = mat_mul(power, b)
+    sizes = [k + excess] + [k] * (g - 1)
+    for j in range(k - 1, 0, -1):
+        sizes.extend([j] * (2 * dims[j] - dims[j - 1] - dims[j + 1]))
+    return sizes
 
 
 def jordan_blocks(a: Matrix, candidates: list[CycloNum]) -> list[tuple[CycloNum, list[int]]]:
     """Jordan structure of a, all of whose eigenvalues must lie in the
-    candidate list; [(eigenvalue, block sizes)]."""
-    n = len(a)
+    candidate list: [(eigenvalue, block sizes in descending order)], in
+    candidate order.
+
+    The characteristic polynomial is computed once.  Synthetic division
+    gives each candidate's multiplicity m as a root: candidates with
+    m = 0 cost no rank, m = 1 is the single block [1], and only m >= 2
+    computes ranks of powers of a - lam I, up to the first power that
+    determines the block sizes.  The scan stops once the multiplicities
+    add up to the size of a."""
+    p = charpoly(a)  # deflated by each eigenvalue found: degree n - sum of m
     out = []
-    total = 0
     for lam in candidates:
-        dims = mat_pow_ker_dims(a, lam, n)
-        if dims[0] == 0:
-            continue
-        sizes = []
-        prev = 0
-        geq = []  # number of blocks of size >= k
-        for k in range(n):
-            geq.append(dims[k] - prev)
-            prev = dims[k]
-        for k in range(n, 0, -1):
-            cnt = geq[k - 1] - (geq[k] if k < n else 0)
-            sizes.extend([k] * cnt)
-        out.append((lam, sorted(sizes, reverse=True)))
-        total += sum(sizes)
-    if total != n:
+        if len(p) == 1:
+            break
+        m = 0
+        while len(p) > 1:
+            q, r = _divide_linear(p, lam)
+            if not r.is_zero():
+                break
+            p, m = q, m + 1
+        if m:
+            out.append((lam, _block_sizes(a, lam, m)))
+    if len(p) > 1:
         raise LinAlgError("eigenvalues outside the candidate set")
     return out
 

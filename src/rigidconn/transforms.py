@@ -34,6 +34,7 @@ from .formal import (
     twist_local,
 )
 from .linalg import (
+    LinAlgError,
     Matrix,
     identity,
     jordan_blocks,
@@ -74,6 +75,10 @@ class TrivialChi(TransformsError):
 
 class NotScalarAtInfinity(TransformsError):
     pass
+
+
+class InvariantViolation(TransformsError):
+    """A transform's output breaks an invariant it must preserve."""
 
 
 class DegenerateQuotient(TransformsError):
@@ -413,7 +418,7 @@ def middle_convolution(P: Problem, chi_exponent) -> Problem:
         raise NotScalarAtInfinity("infinity must be regular; twist the polar part away first")
     # scalar monodromy at infinity is the textbook situation; the engine
     # is exact for any regular infinity, and the chi^{-1} bullet below is
-    # asserted whenever the scalar hypothesis actually holds
+    # checked whenever the scalar hypothesis actually holds
     scalar_inf = _scalar_exponent_at_inf(tinf)
     predicted = mc_rank_prediction(P, g)
 
@@ -429,18 +434,17 @@ def middle_convolution(P: Problem, chi_exponent) -> Problem:
     n2 = math.lcm(P.N, g.denominator)
     out = Problem.make(math.lcm(n2, _quasi_order(out.points)), out.points)
 
-    assert out.rank() == predicted, "middle convolution rank formula violated"
-    assert rig_index(out) == rig_index(P), "middle convolution must preserve rigidity index"
-    assert _finite_irregular_values(out) == _finite_irregular_values(P), (
-        "middle convolution must preserve finite irregular values"
-    )
+    if out.rank() != predicted:
+        raise InvariantViolation("middle convolution rank formula violated")
+    if rig_index(out) != rig_index(P):
+        raise InvariantViolation("middle convolution must preserve rigidity index")
+    if _finite_irregular_values(out) != _finite_irregular_values(P):
+        raise InvariantViolation("middle convolution must preserve finite irregular values")
     tinf_out = out.at(INF) or FormalType.trivial(out.rank())
-    for f in tinf_out.factors:
-        assert f.phi.is_zero(), "middle convolution output must be regular at infinity"
-    if scalar_inf == g:
-        assert _scalar_exponent_at_inf(tinf_out) == (-g) % 1, (
-            "output at infinity must be scalar chi^{-1}"
-        )
+    if any(not f.phi.is_zero() for f in tinf_out.factors):
+        raise InvariantViolation("middle convolution output must be regular at infinity")
+    if scalar_inf == g and _scalar_exponent_at_inf(tinf_out) != (-g) % 1:
+        raise InvariantViolation("output at infinity must be scalar chi^{-1}")
     return out
 
 
@@ -461,6 +465,8 @@ class MatrixTuple:
         if not ms:
             raise TransformsError("empty tuple")
         r = len(ms[0])
+        if any(len(m) != r or any(len(row) != r for row in m) for m in ms):
+            raise TransformsError(f"matrices must all be square of size {r}")
         return MatrixTuple(r, ms)
 
     def mats(self) -> list[Matrix]:
@@ -522,8 +528,12 @@ def tuple_formal_data(T: MatrixTuple, locations, N: int) -> Problem:
     if len(locs) != len(ms):
         raise TransformsError("location count mismatch")
     for loc, m in zip(locs, ms):
+        try:
+            jordan = jordan_blocks(m, candidates)
+        except LinAlgError:
+            raise TransformsError(f"monodromy at {loc!r} has an eigenvalue outside mu_{N}") from None
         blocks = []
-        for lam, sizes in jordan_blocks(m, candidates):
+        for lam, sizes in jordan:
             blocks.extend([(Fraction(exponent[lam], N), s) for s in sizes])
         pts.append((loc, FormalType.regular(RegularPart.make(blocks))))
     return Problem.make(N, pts)

@@ -14,6 +14,15 @@ from rigidconn.formal import (
     Problem,
     RegularPart,
 )
+from rigidconn.linalg import (
+    LinAlgError,
+    Matrix,
+    identity,
+    mat_mul,
+    mat_rank,
+    mat_scale,
+    mat_sub,
+)
 from rigidconn.puiseux import PolarPart
 from rigidconn.radicals import TOWER, RadicalCoeff
 
@@ -303,6 +312,34 @@ def fourier_battery() -> list[Problem]:
 
 def zeta6(k: int) -> CycloNum:
     return CycloNum.zeta(6) ** k
+
+
+def jordan_blocks_reference(a: Matrix, candidates: list[CycloNum]) -> list[tuple[CycloNum, list[int]]]:
+    """Jordan structure from kernel dimensions alone: dim ker (a - lam I)^k
+    for k = 1..n at every candidate, the n powers formed even when lam
+    is not an eigenvalue.  The slow, obviously right oracle for
+    linalg.jordan_blocks."""
+    n = len(a)
+    out = []
+    total = 0
+    for lam in candidates:
+        b = mat_sub(a, mat_scale(identity(n), lam))
+        dims = []
+        p = identity(n)
+        for _ in range(n):
+            p = mat_mul(p, b)
+            dims.append(n - mat_rank(p))
+        if dims[0] == 0:
+            continue
+        geq = [dims[0]] + [dims[k] - dims[k - 1] for k in range(1, n)] + [0]
+        sizes = []
+        for k in range(n, 0, -1):
+            sizes.extend([k] * (geq[k - 1] - geq[k]))
+        out.append((lam, sizes))
+        total += sum(sizes)
+    if total != n:
+        raise LinAlgError("eigenvalues outside the candidate set")
+    return out
 
 
 # -- 1000-bit references for the certified numerics -------------------

@@ -1,14 +1,22 @@
 """Fourier legs, global transforms, twists, and middle convolution."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rigidconn
 from rigidconn.cyclo import CycloNum
 from rigidconn.formal import INF, ExpFactor, FormalType, Location, Problem, RegularPart
+from rigidconn.linalg import mat
 from rigidconn.puiseux import PolarPart, slope
 from rigidconn.rigidity import rig_index
 from rigidconn.transforms import (
+    InvariantViolation,
     MatrixTuple,
     RankOneData,
     TransformsError,
@@ -26,6 +34,8 @@ from rigidconn.transforms import (
 )
 
 from helpers import F, el, hypergeometric, kloosterman, problems_equal, reg, zeta6
+
+ZERO, ONE = CycloNum.zero(), CycloNum.one()
 
 
 def test_local_leg_gaussian():
@@ -101,3 +111,47 @@ def test_dr_mc_oracle_rank():
     T = MatrixTuple.make([[[zeta6(1)]], [[zeta6(2)]]])
     TD = dr_mc_oracle(T, zeta6(1))
     assert len(TD.mats()[0]) == 2
+
+
+def test_matrix_tuple_rejects_non_square_matrices():
+    with pytest.raises(TransformsError):
+        MatrixTuple.make([mat([[1, 2]]), mat([[1]])])
+
+
+def test_matrix_tuple_rejects_matrices_of_different_sizes():
+    with pytest.raises(TransformsError):
+        MatrixTuple.make([[[zeta6(1), ZERO], [ZERO, ONE]], [[zeta6(1)]]])
+
+
+def test_tuple_formal_data_names_the_location_of_a_foreign_eigenvalue():
+    T = MatrixTuple.make([[[zeta6(2)]], [[zeta6(1)]]])  # zeta6 is not a cube root of 1
+    with pytest.raises(TransformsError, match=r"monodromy at Loc\(CycloNum\(1, '1'\)\)"):
+        tuple_formal_data(T, [Location.of(0), Location.of(1)], 3)
+
+
+def test_mc_invariant_checks_survive_optimized_mode():
+    # under python -O asserts vanish; the checks at the end of
+    # middle_convolution must still reject a rank off by one
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from rigidconn import transforms
+        from helpers import hypergeometric
+
+        predicted = transforms.mc_rank_prediction
+        transforms.mc_rank_prediction = lambda P, chi: predicted(P, chi) + 1
+        try:
+            transforms.middle_convolution(hypergeometric(), Fraction(1, 6))
+        except transforms.InvariantViolation as e:
+            print(__debug__, e)
+        """
+    )
+    src = str(Path(rigidconn.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False middle convolution rank formula violated\n"
+    assert issubclass(InvariantViolation, TransformsError)
