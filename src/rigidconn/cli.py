@@ -1,10 +1,12 @@
 """Problem/certificate file formats and command-line dispatch.
 
-Files are JSON with exact-string scalars only: rationals like "3/4",
+Files are JSON with exact-string scalars only, all read by one grammar
+(one tokenizer, one sum-of-products routine): rationals like "-3/4",
 cyclotomic expressions like "1/2*z(6)^5 + 3" (z(N) is a primitive N-th
 root of unity), polar parts like "t^(-3/2) + 1/2*z(4)*t^(-1)", and
-radical atoms rt(c, n) for an n-th root of c.  The canonical printer
-round-trips byte-identically with the parser.
+radical atoms rt(c, n) for an n-th root of c.  Malformed text raises
+ParseError with its line and column.  The canonical printer round-trips
+byte-identically with the parser.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
+from functools import reduce
 
 from .adk import (
     Certificate,
@@ -34,7 +38,7 @@ from .formal import (
     RegularPart,
 )
 from .puiseux import PolarPart
-from .radicals import TOWER, RadicalCoeff, RadicalError, cadd, cmul, cpow, croot
+from .radicals import TOWER, RadicalCoeff, RadicalError, cadd, cmul, cneg, cpow, croot
 from .rigidity import rig_index
 from .stokes import FULL_CIRCLE, order_arcs
 from .transforms import (
@@ -47,8 +51,11 @@ from .transforms import (
 
 
 class ParseError(Exception):
-    def __init__(self, line: int, column: int, message: str):
-        super().__init__(f"line {line}, column {column}: {message}")
+    """Malformed text: position (1-based line and column) and message; the
+    position is None where the JSON decoder gives none."""
+
+    def __init__(self, line: int | None, column: int | None, message: str):
+        super().__init__(message if line is None else f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
         self.message = message
@@ -58,231 +65,190 @@ class SemanticError(Exception):
     pass
 
 
-# -- expression tokenizer / parser -----------------------------------
+# -- the expression grammar ------------------------------------------
+#
+#   sum      = ["-"] product {("+" | "-") product}
+#   product  = factor {"*" factor}                    in a coefficient
+#            | {factor "*"} "t" "^" "(" "-" ratio ")"  in a polar part
+#   factor   = "-" factor | "(" sum ")" | ratio
+#            | "z" "(" int ")" [power] | "rt" "(" sum "," int ")" [power]
+#   power    = "^" ["-"] int
+#   ratio    = int ["/" int]
+#   rational = ["-"] ratio
+#
+# A polar part is a sum in polar mode or "0"; exp, shift, chi_exponent
+# and --chi are rationals.  Whitespace may separate any two tokens.
+
+_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<sym>[-+*/^(),])|(?P<bad>\S))")
 
 
 class _Tokens:
-    SYMBOLS = set("+-*/^(),")
+    """The tokens of one text as (kind, text, offset), ending in an "eof"
+    token with empty text; line and column are worked out only for an
+    error."""
 
-    def __init__(self, text: str, line: int = 1, column: int = 1):
-        self.toks: list[tuple[str, str, int, int]] = []  # (kind, text, line, col)
-        ln, col = line, column
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "\n":
-                ln, col = ln + 1, 1
-                i += 1
-                continue
-            if ch.isspace():
-                i += 1
-                col += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(("num", text[i:j], ln, col))
-                col += j - i
-                i = j
-                continue
-            if ch.isalpha():
-                j = i
-                while j < len(text) and text[j].isalpha():
-                    j += 1
-                self.toks.append(("name", text[i:j], ln, col))
-                col += j - i
-                i = j
-                continue
-            if ch in self.SYMBOLS:
-                self.toks.append(("sym", ch, ln, col))
-                i += 1
-                col += 1
-                continue
-            raise ParseError(ln, col, f"unexpected character {ch!r}")
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN.finditer(text)]
+        self.toks.append(("eof", "", len(text)))
         self.pos = 0
-        self.end = (ln, col)
+        for kind, s, offset in self.toks:
+            if kind == "bad":
+                raise self.error(f"unexpected character {s!r}", offset)
 
-    def peek(self):
-        if self.pos < len(self.toks):
-            return self.toks[self.pos]
-        return ("eof", "", *self.end)
+    def peek(self) -> str:
+        return self.toks[self.pos][1]
 
-    def next(self):
-        t = self.peek()
+    def accept(self, s: str) -> bool:
+        if self.toks[self.pos][1] == s:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, s: str):
+        if not self.accept(s):
+            raise self.error(f"expected {s!r}, got {self.peek() or 'eof'!r}")
+
+    def integer(self) -> int:
+        kind, s, offset = self.toks[self.pos]
+        if kind != "int":
+            raise self.error(f"expected an integer, got {s or 'eof'!r}")
         self.pos += 1
-        return t
+        try:
+            return int(s)
+        except ValueError:  # beyond the digit limit of int()
+            raise self.error(f"integer of {len(s)} digits is too long", offset) from None
 
-    def expect(self, kind: str, text: str | None = None):
-        k, s, ln, col = self.next()
-        if k != kind or (text is not None and s != text):
-            want = text or kind
-            raise ParseError(ln, col, f"expected {want!r}, got {s or k!r}")
-        return s
-
-    def error(self, message: str):
-        _, _, ln, col = self.peek()
-        raise ParseError(ln, col, message)
+    def error(self, message: str, offset: int | None = None) -> ParseError:
+        if offset is None:
+            offset = self.toks[self.pos][2]
+        line = self.text.count("\n", 0, offset) + 1
+        return ParseError(line, offset - self.text.rfind("\n", 0, offset), message)
 
 
-def _parse_uint(tk: _Tokens) -> int:
-    k, s, ln, col = tk.next()
-    if k != "num":
-        raise ParseError(ln, col, f"expected an integer, got {s or k!r}")
-    return int(s)
+def _ratio(tk: _Tokens) -> Fraction:
+    num = tk.integer()
+    if not tk.accept("/"):
+        return Fraction(num)
+    den = tk.integer()
+    if den == 0:
+        raise tk.error("zero denominator")
+    return Fraction(num, den)
 
 
-def _parse_rational(tk: _Tokens, allow_sign: bool = True) -> Fraction:
-    sign = 1
-    if allow_sign and tk.peek()[:2] == ("sym", "-"):
-        tk.next()
-        sign = -1
-    num = _parse_uint(tk)
-    if tk.peek()[:2] == ("sym", "/"):
-        tk.next()
-        den = _parse_uint(tk)
-        if den == 0:
-            tk.error("zero denominator")
-        return Fraction(sign * num, den)
-    return Fraction(sign * num)
+def _rational(tk: _Tokens) -> Fraction:
+    return -_ratio(tk) if tk.accept("-") else _ratio(tk)
 
 
-def _parse_coeff_primary(tk: _Tokens):
-    k, s, ln, col = tk.peek()
-    if k == "sym" and s == "-":
-        tk.next()
-        return cmul(_parse_coeff_primary(tk), CycloNum.from_rational(-1))
-    if k == "sym" and s == "(":
-        tk.next()
-        val = _parse_coeff_expr(tk)
-        tk.expect("sym", ")")
+def _power(tk: _Tokens) -> int:
+    if not tk.accept("^"):
+        return 1
+    return -tk.integer() if tk.accept("-") else tk.integer()
+
+
+def _factor(tk: _Tokens):
+    kind, s, offset = tk.toks[tk.pos]
+    if kind == "int":
+        return CycloNum.from_rational(_ratio(tk))
+    tk.pos += 1
+    if s == "-":
+        return cneg(_factor(tk))
+    if s == "(":
+        val = _coeff(tk)
+        tk.expect(")")
         return val
-    if k == "name" and s == "z":
-        tk.next()
-        tk.expect("sym", "(")
-        n = _parse_uint(tk)
+    if s == "z":
+        tk.expect("(")
+        n = tk.integer()
         if n < 1:
-            raise ParseError(ln, col, "root-of-unity order must be positive")
-        tk.expect("sym", ")")
-        e = 1
-        if tk.peek()[:2] == ("sym", "^"):
-            tk.next()
-            neg = tk.peek()[:2] == ("sym", "-")
-            if neg:
-                tk.next()
-            e = _parse_uint(tk)
-            if neg:
-                e = -e
-        return CycloNum.zeta(n, e % n)
-    if k == "name" and s == "rt":
-        tk.next()
-        tk.expect("sym", "(")
-        base = _parse_coeff_expr(tk)
-        tk.expect("sym", ",")
-        n = _parse_uint(tk)
+            raise tk.error("root-of-unity order must be positive", offset)
+        tk.expect(")")
+        return CycloNum.zeta(n, _power(tk) % n)
+    if s == "rt":
+        tk.expect("(")
+        base = _coeff(tk)
+        tk.expect(",")
+        n = tk.integer()
         if n < 1:
-            raise ParseError(ln, col, "root index must be positive")
-        tk.expect("sym", ")")
+            raise tk.error("root index must be positive", offset)
+        tk.expect(")")
         val = croot(base, n)
-        if tk.peek()[:2] == ("sym", "^"):
-            tk.next()
-            neg = tk.peek()[:2] == ("sym", "-")
-            if neg:
-                tk.next()
-            val = cpow(val, -_parse_uint(tk) if neg else _parse_uint(tk))
-        return val
-    if k == "num":
-        return CycloNum.from_rational(_parse_rational(tk, allow_sign=False))
-    raise ParseError(ln, col, f"expected a coefficient atom, got {s or k!r}")
+        e = _power(tk)
+        return val if e == 1 else cpow(val, e)
+    raise tk.error(f"expected a coefficient atom, got {s or 'eof'!r}", offset)
 
 
-def _parse_coeff_product(tk: _Tokens):
-    acc = _parse_coeff_primary(tk)
-    while tk.peek()[:2] == ("sym", "*"):
-        nxt = tk.toks[tk.pos + 1][:2] if tk.pos + 1 < len(tk.toks) else None
-        if nxt == ("name", "t"):  # the `*` belongs to a polar atom
-            break
-        tk.next()
-        acc = cmul(acc, _parse_coeff_primary(tk))
-    return acc
+def _product(tk: _Tokens, polar: bool):
+    """A coefficient; in a polar part, the pair (j/p, coefficient) of a
+    term coefficient*t^(-j/p), whose coefficient defaults to 1."""
+    acc = None
+    while not (polar and tk.peek() == "t"):
+        f = _factor(tk)
+        acc = f if acc is None else cmul(acc, f)
+        if polar:
+            tk.expect("*")
+        elif not tk.accept("*"):
+            return acc
+    for s in "t^(-":
+        tk.expect(s)
+    e = _ratio(tk)
+    if e == 0:
+        raise tk.error("zero exponent numerator")
+    tk.expect(")")
+    return e, CycloNum.one() if acc is None else acc
 
 
-def _parse_coeff_expr(tk: _Tokens):
-    negate = False
-    if tk.peek()[:2] == ("sym", "-"):
-        tk.next()
-        negate = True
-    acc = _parse_coeff_product(tk)
-    if negate:
-        acc = cmul(acc, CycloNum.from_rational(-1))
-    while tk.peek()[1] in ("+", "-") and tk.peek()[0] == "sym":
-        op = tk.next()[1]
-        term = _parse_coeff_product(tk)
-        if op == "-":
-            term = cmul(term, CycloNum.from_rational(-1))
-        acc = cadd(acc, term)
-    return acc
+def _sum(tk: _Tokens, polar: bool) -> list:
+    """The signed products of a sum."""
+    terms = []
+    negate = tk.accept("-")
+    while True:
+        term = _product(tk, polar)
+        if negate:
+            term = (term[0], cneg(term[1])) if polar else cneg(term)
+        terms.append(term)
+        if tk.accept("+"):
+            negate = False
+        elif tk.accept("-"):
+            negate = True
+        else:
+            return terms
 
 
-def parse_coeff(text: str):
+def _coeff(tk: _Tokens):
+    return reduce(cadd, _sum(tk, False))
+
+
+def _polar(tk: _Tokens) -> PolarPart:
+    if tk.accept("0"):
+        return PolarPart.zero()
+    terms = _sum(tk, True)
+    p = math.lcm(*(e.denominator for e, _ in terms))
+    return PolarPart.make(p, [(int(e * p), c) for e, c in terms])
+
+
+def _parse(text: str, rule):
     tk = _Tokens(text)
-    val = _parse_coeff_expr(tk)
-    if tk.peek()[0] != "eof":
-        tk.error("trailing input after coefficient expression")
+    try:
+        val = rule(tk)
+    except RecursionError:
+        raise tk.error("expression nested too deeply") from None
+    if tk.peek():
+        raise tk.error("trailing input")
     return val
 
 
-def _parse_polar_term(tk: _Tokens):
-    """One atom `coeff * t^(-j/p)` (coefficient optional); returns
-    (Fraction exponent j/p, coeff)."""
-    coeff = None
-    if not (tk.peek()[0] == "name" and tk.peek()[1] == "t"):
-        coeff = _parse_coeff_product(tk)
-        tk.expect("sym", "*")
-    tk.expect("name", "t")
-    tk.expect("sym", "^")
-    tk.expect("sym", "(")
-    tk.expect("sym", "-")
-    num = _parse_uint(tk)
-    if num == 0:
-        tk.error("zero exponent numerator")
-    den = 1
-    if tk.peek()[:2] == ("sym", "/"):
-        tk.next()
-        den = _parse_uint(tk)
-        if den == 0:
-            tk.error("zero ramification")
-    tk.expect("sym", ")")
-    if coeff is None:
-        coeff = CycloNum.one()
-    return Fraction(num, den), coeff
+def parse_coeff(text: str):
+    return _parse(text, _coeff)
 
 
 def parse_polar(text: str) -> PolarPart:
-    tk = _Tokens(text)
-    if tk.peek()[:2] == ("num", "0"):
-        tk.next()
-        if tk.peek()[0] != "eof":
-            tk.error("trailing input after zero polar part")
-        return PolarPart.zero()
-    negate_first = False
-    if tk.peek()[:2] == ("sym", "-"):
-        tk.next()
-        negate_first = True
-    terms = [_parse_polar_term(tk)]
-    if negate_first:
-        e, c = terms[0]
-        terms[0] = (e, cmul(c, CycloNum.from_rational(-1)))
-    while tk.peek()[0] == "sym" and tk.peek()[1] in ("+", "-"):
-        op = tk.next()[1]
-        e, c = _parse_polar_term(tk)
-        if op == "-":
-            c = cmul(c, CycloNum.from_rational(-1))
-        terms.append((e, c))
-    if tk.peek()[0] != "eof":
-        tk.error("trailing input after polar part")
-    p = math.lcm(*(e.denominator for e, _ in terms))
-    return PolarPart.make(p, [(int(e * p), c) for e, c in terms])
+    return _parse(text, _polar)
+
+
+def parse_rational(text: str) -> Fraction:
+    """A signed rational [-]p[/q], as in exp, shift, chi_exponent and --chi."""
+    return _parse(text, _rational)
 
 
 # -- canonical printers ----------------------------------------------
@@ -388,7 +354,7 @@ def problem_from_dict(d: dict) -> Problem:
             blocks = []
             for r in _typed(f.get("reg"), list, "reg"):
                 _check_fields(r, {"exp", "blocks"}, "regular part")
-                exp = _fraction_from_str(_typed(r.get("exp"), str, "exp"))
+                exp = parse_rational(_typed(r.get("exp"), str, "exp"))
                 for size in _typed(r.get("blocks"), list, "blocks"):
                     if _typed(size, int, "a block size") < 1:
                         raise SemanticError("block sizes must be positive integers")
@@ -407,6 +373,10 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.lineno, e.colno, e.msg) from e
+    except RecursionError:
+        raise ParseError(None, None, "JSON nested too deeply") from None
+    except ValueError as e:  # an integer literal beyond the digit limit of int()
+        raise ParseError(None, None, str(e)) from None
 
 
 def parse_problem(text: str) -> Problem:
@@ -415,13 +385,6 @@ def parse_problem(text: str) -> Problem:
 
 def print_problem(P: Problem) -> str:
     return json.dumps(problem_to_dict(P), indent=2) + "\n"
-
-
-def _fraction_from_str(s) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise SemanticError(f"bad rational {s!r}") from e
 
 
 def step_to_dict(s: Step) -> dict:
@@ -452,7 +415,7 @@ def _twist_data(entries) -> RankOneData:
             (
                 parse_loc(_typed(pt.get("loc"), str, "loc")),
                 parse_polar(_typed(pt.get("phi"), str, "phi")),
-                _fraction_from_str(_typed(pt.get("shift"), str, "shift")),
+                parse_rational(_typed(pt.get("shift"), str, "shift")),
             )
         )
     return RankOneData.make(pts)
@@ -481,7 +444,7 @@ def step_from_dict(d: dict) -> Step:
     if kind == "mc":
         _check_fields(d, {"kind", "chi_exponent", "predicted_rank"}, "mc step")
         chi = _typed(d.get("chi_exponent"), str, "chi_exponent")
-        return Step("mc", _fraction_from_str(chi), rank)
+        return Step("mc", parse_rational(chi), rank)
     if kind == "fourier":
         _check_fields(d, {"kind", "predicted_rank"}, "fourier step")
         return Step("fourier", None, rank)
@@ -520,6 +483,17 @@ EXIT_OK = 0
 EXIT_NOT_RIGID = 1
 EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
+
+# What execute_command reports as an input error: exit 2, one error line.
+INPUT_ERRORS = (
+    ParseError,
+    SemanticError,
+    FormalError,
+    TransformsError,
+    ReplayMismatch,
+    RadicalError,
+    OSError,
+)
 
 
 def _load_problem(path: str) -> Problem:
@@ -585,7 +559,7 @@ def _cmd_fourier(args, out) -> int:
 
 
 def _cmd_mc(args, out) -> int:
-    gamma = _fraction_from_str(args.chi)
+    gamma = parse_rational(args.chi)
     if gamma % 1 == 0:
         raise SemanticError("chi must be a nontrivial character: exponent not an integer")
     P = _load_problem(args.file)
@@ -713,15 +687,7 @@ def execute_command(argv, out=None, err=None) -> int:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args, out)
-    except (
-        ParseError,
-        SemanticError,
-        FormalError,
-        TransformsError,
-        ReplayMismatch,
-        RadicalError,
-        OSError,
-    ) as e:
+    except INPUT_ERRORS as e:
         err.write(f"error: {e}\n")
         return EXIT_INPUT
     except UndecidedSign as e:

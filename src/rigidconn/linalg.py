@@ -61,10 +61,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: list[CycloNum]) -> list[CycloNum]:
-    return [sum((x * y for x, y in zip(row, v)), CycloNum.zero()) for row in a]
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns."""
     m = [row[:] for row in a]
@@ -203,36 +199,24 @@ def jordan_blocks(a: Matrix, candidates: list[CycloNum]) -> list[tuple[CycloNum,
     return out
 
 
-def column_span_basis(vectors: list[list[CycloNum]]) -> list[list[CycloNum]]:
-    """Independent subset spanning the same space: the vectors at the
-    pivot columns of the matrix that has them as columns."""
-    if not vectors:
-        return []
-    _, pivots = rref([list(row) for row in zip(*vectors)])
-    return [vectors[j] for j in pivots]
-
-
 def quotient_action(maps: list[Matrix], subspace: list[list[CycloNum]]) -> tuple[int, list[Matrix]]:
-    """Induced action of invariant maps on V / span(subspace)."""
+    """Induced action of invariant maps on V / span(subspace), in the
+    classes of the standard vectors at the non-pivot coordinates of the
+    subspace's rref: clearing an image's pivot coordinates with the rref
+    rows leaves its quotient coordinates."""
     n = len(maps[0]) if maps else 0
-    sub = column_span_basis(subspace)
-    d = len(sub)
-    # choose complement: standard vectors at non-pivot coordinates of sub
-    if d:
-        _, pivots = rref(sub)
-    else:
-        pivots = []
+    red, pivots = rref(subspace)
     comp = [j for j in range(n) if j not in pivots]
-    full = sub + [[CycloNum.one() if i == j else CycloNum.zero() for i in range(n)] for j in comp]
-    basis_mat = [list(col) for col in zip(*full)]  # columns are basis vectors
-    binv = mat_inv(basis_mat)
     out = []
     for mp in maps:
         q = zeros(len(comp), len(comp))
         for jc, j in enumerate(comp):
             img = [mp[i][j] for i in range(n)]
-            coords = mat_vec(binv, img)
-            for ic in range(len(comp)):
-                q[ic][jc] = coords[d + ic]
+            for p, row in zip(pivots, red):
+                f = img[p]
+                if not f.is_zero():
+                    img = [x - f * y for x, y in zip(img, row)]
+            for ic, i in enumerate(comp):
+                q[ic][jc] = img[i]
         out.append(q)
     return len(comp), out

@@ -5,9 +5,10 @@ formal solution; the zero polar part (p = 1, no terms) stands for
 regular factors.  Normal form divides out common factors of p and the
 exponent numerators, so stored parts are minimal or zero.
 
-The series machinery (Lser, invert_series) is the workhorse behind the
-stationary-phase legs of the Fourier transform: compositional inversion
-by Newton iteration, doubling the number of certified terms per round.
+Truncated Laurent series (Lser) and solve_series carry the
+stationary-phase legs of the Fourier transform: solve_series inverts a
+series by Newton iteration, doubling the number of certified terms per
+round, and checks the result by back-substitution.
 """
 
 from __future__ import annotations
@@ -354,50 +355,3 @@ def _eval_laurent(S: Lser, u: Lser, trunc: int) -> Lser:
     for k, c in S.terms.items():
         out = out + u.pow(k).scale(c)
     return Lser(out.terms, min(out.trunc, trunc))
-
-
-@dataclass
-class PuiseuxSeries:
-    """sum c_k tau^(k/ram); exponent numerators below trunc_num are
-    certified complete."""
-
-    ram: int
-    terms: dict
-    trunc_num: int
-
-    def leading(self):
-        ks = [k for k in self.terms if not cis_zero(self.terms[k])]
-        if not ks:
-            return None
-        k = min(ks)
-        return k, self.terms[k]
-
-    def __eq__(self, other):
-        e = math.lcm(self.ram, other.ram)
-        a = {k * (e // self.ram): c for k, c in self.terms.items()}
-        b = {k * (e // other.ram): c for k, c in other.terms.items()}
-        t = min(self.trunc_num * (e // self.ram), other.trunc_num * (e // other.ram))
-        keys = set(a) | set(b)
-        return all(
-            ceq(a.get(k, CycloNum.zero()), b.get(k, CycloNum.zero()))
-            for k in keys
-            if k < t
-        )
-
-
-def invert_series(s: PuiseuxSeries, target_terms: int) -> PuiseuxSeries:
-    """Compositional inverse: solve tau = s(z) for z as a Puiseux series
-    in tau, with at least target_terms certified terms."""
-    lead = s.leading()
-    if lead is None or lead[0] == 0:
-        raise NonInvertibleLeadingTerm("need a nonzero leading term of nonzero exponent")
-    p = s.ram
-    m = lead[0]
-    S = Lser(dict(s.terms), s.trunc_num)
-    order = abs(m) * (target_terms + 1) + 1
-    u = solve_series(S, m, order)
-    # z = u^p, expressed in w = tau^(1/m): exponents i/m in tau
-    z = u.pow(p)
-    if m > 0:
-        return PuiseuxSeries(m, dict(z.terms), z.trunc)
-    return PuiseuxSeries(-m, {-k: c for k, c in z.terms.items()}, 10**9)

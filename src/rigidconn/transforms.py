@@ -60,11 +60,6 @@ class RankZeroOutput(TransformsError):
     pass
 
 
-class NotLocalizedAtInfinity(TransformsError):
-    """Raised when the caller marks the input as carrying a middle
-    correction at infinity; formal data alone cannot detect this."""
-
-
 class UnknownLocation(TransformsError):
     pass
 

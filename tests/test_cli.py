@@ -2,18 +2,23 @@
 
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidconn.cli import (
     EXIT_INPUT,
     EXIT_NOT_RIGID,
     EXIT_OK,
+    INPUT_ERRORS,
     ParseError,
     SemanticError,
     coeff_str,
@@ -23,6 +28,7 @@ from rigidconn.cli import (
     parse_loc,
     parse_polar,
     parse_problem,
+    parse_rational,
     polar_str,
     print_certificate,
     print_problem,
@@ -52,12 +58,15 @@ def test_parse_coeff_rationals_and_roots_of_unity():
         CycloNum.from_rational(F(1, 2)) - CycloNum.from_rational(F(1, 2)) * CycloNum.zeta(6)
     )
     assert parse_coeff("-z(4)") == -CycloNum.zeta(4)
+    assert parse_coeff("z(12)^-5") == CycloNum.zeta(12) ** 7
+    assert parse_coeff("- -(1 + 2)*3/4") == CycloNum.from_rational(F(9, 4))
 
 
 def test_parse_coeff_radicals():
     got = parse_coeff("2*rt(2,2)")
     want = croot(CycloNum.from_rational(2), 2)
     assert ceq(got, cadd(want, want))
+    assert ceq(parse_coeff("4*rt(2,2)^-1"), got)
 
 
 def test_coeff_roundtrip():
@@ -102,6 +111,71 @@ def test_parse_coeff_errors_carry_position():
     with pytest.raises(ParseError) as e:
         parse_coeff("1/2 + + 3")
     assert e.value.line == 1 and e.value.column > 0
+
+
+@pytest.mark.parametrize(
+    "text,line,column",
+    [("1 + + 2", 1, 5), ("rt(2,2", 1, 7), ("z(6)^", 1, 6), ("\n\n  z(3) $", 3, 8)],
+)
+def test_parse_error_positions(text, line, column):
+    with pytest.raises(ParseError) as e:
+        parse_coeff(text)
+    assert (e.value.line, e.value.column) == (line, column)
+
+
+def test_parse_rational():
+    assert parse_rational("-3/4") == F(-3, 4)
+    assert parse_rational("0") == 0
+    for text in ("0.5", "1e3", "+1/2", "1/0", "1_000", "1/-2", "--1", ""):
+        with pytest.raises(ParseError):
+            parse_rational(text)
+
+
+# Token strings over the grammar's alphabet: a sum of products of atoms,
+# each product perhaps ending in a t-power, then up to two tokens inserted
+# or deleted.  Integers stay small and root-of-unity orders divide 60, so
+# every product stays at a low level; radicals are whole atoms over
+# rationals, so the radical tower only gains the primes 2 and 3.
+_ATOMS = ["0", "2", "12", "60", "3/4", "z(3)", "z(4)^3", "z(12)^-5", "(1 - z(5))", "-z(6)"]
+_ATOMS += ["rt(2,2)", "rt(-3, 3)", "rt(3/4,2)", "rt(12,3)^2", "rt(6, 2)^-1"]
+_T_POWERS = ["t^(-1)", "t^(-3/2)", "t^(-2/6)"]
+_TOKENS = ["0", "1", "5", "60", *"+-*/^(),", "z", "t", "rt", "z(3)", "t^(-1)", "rt(2", "rt(0,2)"]
+
+
+@st.composite
+def _token_strings(draw):
+    toks = ["-"] if draw(st.booleans()) else []
+    for i in range(draw(st.integers(1, 3))):
+        if i:
+            toks.append(draw(st.sampled_from("+-")))
+        product = draw(st.lists(st.sampled_from(_ATOMS), max_size=3))
+        tail = draw(st.sampled_from([None] * 3 + _T_POWERS))
+        toks += " * ".join(product + [tail] if tail else product or ["1"]).split(" ")
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(toks)))
+        if i < len(toks) and draw(st.booleans()):
+            del toks[i]
+        else:
+            toks.insert(i, draw(st.sampled_from(_TOKENS)))
+    return " ".join(toks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_token_strings())
+def test_grammar_fuzz(text):
+    for parse, show, same in (
+        (parse_coeff, coeff_str, ceq),
+        (parse_polar, polar_str, operator.eq),
+        (parse_rational, str, operator.eq),
+    ):
+        try:
+            value = parse(text)
+        except INPUT_ERRORS:
+            continue
+        printed = show(value)
+        again = parse(printed)
+        assert same(again, value)
+        assert show(again) == printed
 
 
 def test_loc_roundtrip():
@@ -194,6 +268,9 @@ def test_cmd_mc(files):
     assert code == EXIT_INPUT
     code, _, err = run(["mc", files["hyper"], "--chi", "1"])
     assert code == EXIT_INPUT
+    for chi in ("0.5", "+1/6", "1e-1"):
+        code, out, err = run(["mc", files["hyper"], "--chi", chi])
+        assert code == EXIT_INPUT and out == "" and err.startswith("error: ")
 
 
 def test_cmd_missing_file():
@@ -261,6 +338,12 @@ MALFORMED = {
     "float_exponent": _set(["points", 0, "factors", 0, "reg", 0, "exp"], 0.5),
     "boolean_N": _set(["N"], True),
     "boolean_version": _set(["version"], True),
+    "loc_nested_parentheses": _set(["points", 0, "loc"], "(" * 3000 + "1" + ")" * 3000),
+    "loc_unary_minus": _set(["points", 0, "loc"], "-" * 3000 + "1"),
+    "loc_long_integer": _set(["points", 0, "loc"], "1 + " + "7" * 5000),
+    "exp_decimal": _set(["points", 0, "factors", 0, "reg", 0, "exp"], "0.5"),
+    "exp_exponent": _set(["points", 0, "factors", 0, "reg", 0, "exp"], "1e10000000"),
+    "exp_leading_plus": _set(["points", 0, "factors", 0, "reg", 0, "exp"], "+1/2"),
 }
 
 
@@ -270,6 +353,21 @@ def test_malformed_problem_exits_2(name, tmp_path):
     MALFORMED[name](d)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(d), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(["rig", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INPUT
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100000, '{"version": 1, "N": ' + "1" * 5000 + ', "points": []}'],
+    ids=["deep_nesting", "long_integer"],
+)
+def test_json_loader_errors_exit_2(text, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
     code, out, err = run(["rig", str(path)])
     assert code == EXIT_INPUT
     assert out == "" and err.startswith("error: ")

@@ -8,7 +8,6 @@ from rigidconn.cyclo import CycloNum
 from rigidconn.puiseux import (
     Lser,
     PolarPart,
-    PuiseuxSeries,
     canonical_rep,
     galois_act,
     orbit,
@@ -17,7 +16,6 @@ from rigidconn.puiseux import (
     ramify,
     slope,
     solve_series,
-    invert_series,
 )
 
 F = Fraction
@@ -93,14 +91,14 @@ def test_solve_series_catalan():
     assert u.terms[5] == c(14)
 
 
-def test_invert_series_square():
-    # tau = z^2  =>  z = tau^(1/2)
-    s = PuiseuxSeries(1, {2: ONE}, 40)
-    z = invert_series(s, 3)
-    assert z == PuiseuxSeries(2, {1: ONE}, 40)
+def test_solve_series_square():
+    # u^2 = w^2  =>  u = w
+    u = solve_series(Lser({2: ONE}, 40), 2, 6)
+    assert u == Lser({1: ONE}, 7)
+    assert u.terms[1] == ONE
 
 
-def test_invert_series_identity():
-    s = PuiseuxSeries(1, {1: ONE}, 40)
-    z = invert_series(s, 3)
-    assert z == PuiseuxSeries(1, {1: ONE}, 40)
+def test_solve_series_identity():
+    u = solve_series(Lser({1: ONE}, 40), 1, 6)
+    assert u == Lser({1: ONE}, 7)
+    assert u.terms[1] == ONE
