@@ -52,13 +52,20 @@ from .transforms import (
 
 class ParseError(Exception):
     """Malformed text: position (1-based line and column) and message; the
-    position is None where the JSON decoder gives none."""
+    position is None where the JSON decoder gives none.  In a document,
+    where names the field that holds the text, as in points[0].loc."""
 
-    def __init__(self, line: int | None, column: int | None, message: str):
-        super().__init__(message if line is None else f"line {line}, column {column}: {message}")
+    def __init__(self, line: int | None, column: int | None, message: str, where: str = ""):
+        text = message if line is None else f"line {line}, column {column}: {message}"
+        super().__init__(f"{where}: {text}" if where else text)
         self.line = line
         self.column = column
         self.message = message
+        self.where = where
+
+    def within(self, field: str) -> "ParseError":
+        """This error, located one field further out."""
+        return ParseError(self.line, self.column, self.message, f"{field}.{self.where}" if self.where else field)
 
 
 class SemanticError(Exception):
@@ -256,9 +263,9 @@ def parse_rational(text: str) -> Fraction:
 
 def _factor_str(a) -> str:
     """coeff_str(a), in parentheses when a has several terms."""
-    terms = a.terms if isinstance(a, RadicalCoeff) else [c for c in a.coeffs if c != 0]
+    terms = len(a.terms) if isinstance(a, RadicalCoeff) else len(a.nums) - a.nums.count(0)
     s = coeff_str(a)
-    return f"({s})" if len(terms) > 1 else s
+    return f"({s})" if terms > 1 else s
 
 
 def coeff_str(a) -> str:
@@ -335,6 +342,48 @@ def _check_fields(d, allowed: set, where: str):
         raise SemanticError(f"unknown fields {sorted(extra)} in {where}")
 
 
+def _field(parse, d: dict, key: str, kind: type = str):
+    """parse(d[key]), d[key] of the JSON type kind; a ParseError names
+    the field."""
+    value = _typed(d.get(key), kind, key)
+    try:
+        return parse(value)
+    except ParseError as e:
+        raise e.within(key) from None
+
+
+def _each(parse, items, key: str, what: str = "") -> list:
+    """[parse(x) for x in items], items the JSON array of field key; a
+    ParseError names the field and the index."""
+    out = []
+    for i, x in enumerate(_typed(items, list, what or key)):
+        try:
+            out.append(parse(x))
+        except ParseError as e:
+            raise e.within(f"{key}[{i}]") from None
+    return out
+
+
+def _blocks(r) -> list:
+    _check_fields(r, {"exp", "blocks"}, "regular part")
+    exp = _field(parse_rational, r, "exp")
+    sizes = _typed(r.get("blocks"), list, "blocks")
+    if any(_typed(size, int, "a block size") < 1 for size in sizes):
+        raise SemanticError("block sizes must be positive integers")
+    return [(exp, size) for size in sizes]
+
+
+def _exp_factor(f) -> tuple:
+    _check_fields(f, {"phi", "reg"}, "factor")
+    phi = _field(parse_polar, f, "phi")
+    return phi, RegularPart.make([b for bs in _each(_blocks, f.get("reg"), "reg") for b in bs])
+
+
+def _point(pt) -> tuple:
+    _check_fields(pt, {"loc", "factors"}, "point")
+    return _field(parse_loc, pt, "loc"), FormalType.make(_each(_exp_factor, pt.get("factors"), "factors"))
+
+
 def problem_from_dict(d: dict) -> Problem:
     _typed(d, dict, "problem document")
     _check_fields(d, {"version", "N", "points"}, "problem")
@@ -343,25 +392,7 @@ def problem_from_dict(d: dict) -> Problem:
     N = _typed(d.get("N"), int, "N")
     if N < 1:
         raise SemanticError("N must be a positive integer")
-    points = []
-    for pt in _typed(d.get("points", []), list, "points"):
-        _check_fields(pt, {"loc", "factors"}, "point")
-        loc = parse_loc(_typed(pt.get("loc"), str, "loc"))
-        factors = []
-        for f in _typed(pt.get("factors"), list, "factors"):
-            _check_fields(f, {"phi", "reg"}, "factor")
-            phi = parse_polar(_typed(f.get("phi"), str, "phi"))
-            blocks = []
-            for r in _typed(f.get("reg"), list, "reg"):
-                _check_fields(r, {"exp", "blocks"}, "regular part")
-                exp = parse_rational(_typed(r.get("exp"), str, "exp"))
-                for size in _typed(r.get("blocks"), list, "blocks"):
-                    if _typed(size, int, "a block size") < 1:
-                        raise SemanticError("block sizes must be positive integers")
-                    blocks.append((exp, size))
-            factors.append((phi, RegularPart.make(blocks)))
-        factors_t = FormalType.make(factors)
-        points.append((loc, factors_t))
+    points = _each(_point, d.get("points", []), "points")
     try:
         return Problem.make(N, points)
     except FormalError as e:
@@ -406,19 +437,14 @@ def step_to_dict(s: Step) -> dict:
     return d
 
 
+def _twist_point(pt) -> tuple:
+    _check_fields(pt, {"loc", "phi", "shift"}, "twist point")
+    return _field(parse_loc, pt, "loc"), _field(parse_polar, pt, "phi"), _field(parse_rational, pt, "shift")
+
+
 def _twist_data(entries) -> RankOneData:
     """Rank-one twist data from a JSON array of {loc, phi, shift} points."""
-    pts = []
-    for pt in _typed(entries, list, "twist points"):
-        _check_fields(pt, {"loc", "phi", "shift"}, "twist point")
-        pts.append(
-            (
-                parse_loc(_typed(pt.get("loc"), str, "loc")),
-                parse_polar(_typed(pt.get("phi"), str, "phi")),
-                parse_rational(_typed(pt.get("shift"), str, "shift")),
-            )
-        )
-    return RankOneData.make(pts)
+    return RankOneData.make(_each(_twist_point, entries, "points", "twist points"))
 
 
 def step_from_dict(d: dict) -> Step:
@@ -428,23 +454,19 @@ def step_from_dict(d: dict) -> Step:
         raise SemanticError("predicted_rank must be a positive integer")
     if kind == "moebius":
         _check_fields(d, {"kind", "coeffs", "predicted_rank"}, "moebius step")
-        coeffs = [
-            parse_coeff(_typed(c, str, "a coefficient"))
-            for c in _typed(d.get("coeffs"), list, "coeffs")
-        ]
+        coeffs = _each(lambda c: parse_coeff(_typed(c, str, "a coefficient")), d.get("coeffs"), "coeffs")
         if len(coeffs) != 4:
             raise SemanticError("moebius step needs 4 coefficients")
         return Step("moebius", tuple(coeffs), rank)
     if kind == "add_apparent":
         _check_fields(d, {"kind", "loc", "predicted_rank"}, "add_apparent step")
-        return Step("add_apparent", parse_loc(_typed(d.get("loc"), str, "loc")), rank)
+        return Step("add_apparent", _field(parse_loc, d, "loc"), rank)
     if kind == "twist":
         _check_fields(d, {"kind", "points", "predicted_rank"}, "twist step")
         return Step("twist", _twist_data(d.get("points")), rank)
     if kind == "mc":
         _check_fields(d, {"kind", "chi_exponent", "predicted_rank"}, "mc step")
-        chi = _typed(d.get("chi_exponent"), str, "chi_exponent")
-        return Step("mc", parse_rational(chi), rank)
+        return Step("mc", _field(parse_rational, d, "chi_exponent"), rank)
     if kind == "fourier":
         _check_fields(d, {"kind", "predicted_rank"}, "fourier step")
         return Step("fourier", None, rank)
@@ -465,8 +487,8 @@ def certificate_from_dict(d: dict) -> Certificate:
     _check_fields(d, {"version", "steps", "terminal", "origin"}, "certificate")
     if _typed(d.get("version"), int, "version") != _PROBLEM_VERSION:
         raise SemanticError(f"unsupported version {d.get('version')!r}")
-    steps = tuple(step_from_dict(s) for s in _typed(d.get("steps", []), list, "steps"))
-    return Certificate(steps, problem_from_dict(d.get("terminal")), problem_from_dict(d.get("origin")))
+    steps = tuple(_each(step_from_dict, d.get("steps", []), "steps"))
+    return Certificate(steps, _field(problem_from_dict, d, "terminal", dict), _field(problem_from_dict, d, "origin", dict))
 
 
 def parse_certificate(text: str) -> Certificate:

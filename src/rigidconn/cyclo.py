@@ -1,18 +1,21 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored as coefficient vectors over Q in the power basis
-1, z, ..., z^(phi(N)-1) of Q[x]/(Phi_N(x)), with z standing for the
-primitive N-th root of unity exp(2*pi*i/N).  Working modulo the
-cyclotomic polynomial (rather than x^N - 1) keeps zero-testing exact.
-Cross-level operations promote both operands to the lcm level through
-the embedding zeta_N = zeta_M^(M/N); every result is then brought back
-to its minimal level, so each element has one stored form.
+An element is stored as one integer vector over one positive integer
+denominator, (nums[0] + nums[1] z + ... + nums[phi(N)-1] z^(phi(N)-1))/den,
+in the power basis of Q[x]/(Phi_N(x)), with z standing for the
+primitive N-th root of unity exp(2*pi*i/N) and gcd(den, *nums) = 1.
+Working modulo the cyclotomic polynomial (rather than x^N - 1) keeps
+zero-testing exact, and as Phi_N is monic, sums, products and the
+reduction all run on integers, with one gcd pass per result.  The
+inverse is the product of the other Galois conjugates over the rational
+norm.  Cross-level operations promote both operands to the lcm level
+through the embedding zeta_N = zeta_M^(M/N); every result is then
+brought back to its minimal level, so each element has one stored form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -45,96 +48,108 @@ class UndecidedSign(CycloError):
 
 @lru_cache(maxsize=None)
 def totient(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    for p in _prime_factors(n):
+        n = n // p * (p - 1)
+    return n
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, lowest degree first."""
-    if n == 1:
-        return (-1, 1)
-    # divide x^n - 1 by the product of Phi_d over proper divisors d
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
+    """Integer coefficients of Phi_n, lowest degree first: x^n - 1
+    divided by the monic Phi_d of the proper divisors d of n."""
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            den = list(cyclotomic_coeffs(d))
-            num = _polydiv_exact(num, den)
+            den = cyclotomic_coeffs(d)
+            dd = len(den) - 1
+            # synthetic division; the quotient replaces the top of num
+            for i in range(len(num) - 1, dd - 1, -1):
+                for j in range(dd):
+                    num[i - dd + j] -= num[i] * den[j]
+            num = num[dd:]
     return tuple(num)
 
 
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    # exact division of integer polynomials, den monic up to sign
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[dd]
-    q = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        assert c % lead == 0
-        f = c // lead
-        q[i - dd] = f
-        for j, dc in enumerate(den):
-            num[i - dd + j] -= f * dc
-    assert all(c == 0 for c in num)
-    return q
+@lru_cache(maxsize=None)
+def _phi_tail(n: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero terms (j, c) of Phi_n below its leading one."""
+    return tuple((j, c) for j, c in enumerate(cyclotomic_coeffs(n)[:-1]) if c)
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in zeta_n (arbitrary degree) mod Phi_n."""
-    phi = cyclotomic_coeffs(n)
-    deg = len(phi) - 1
-    c = list(coeffs)
+def _reduce_mod_phi(raw: list[int], n: int) -> tuple[int, ...]:
+    """Reduce an integer polynomial in zeta_n (arbitrary degree) mod
+    Phi_n; Phi_n is monic, so the reduction stays over Z."""
+    deg = totient(n)
+    tail = _phi_tail(n)
+    c = list(raw)
     for i in range(len(c) - 1, deg - 1, -1):
         f = c[i]
-        if f == 0:
-            continue
-        for j in range(deg + 1):
-            c[i - deg + j] -= f * phi[j]
+        if f:
+            for j, phi_j in tail:
+                c[i - deg + j] -= f * phi_j
     c = c[:deg]
-    c += [Fraction(0)] * (deg - len(c))
+    c += [0] * (deg - len(c))
     return tuple(c)
 
 
-@dataclass(frozen=True)
+def _mul_nums(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of two integer vectors at level n."""
+    raw = [0] * (len(a) + len(b) - 1)
+    bs = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in bs:
+                raw[i + j] += x * y
+    return _reduce_mod_phi(raw, n)
+
+
 class CycloNum:
-    """An element of Q(zeta_level); coeffs has length totient(level).
+    """The immutable value (nums[0] + nums[1] z + ...) / den in Q(zeta_level),
+    z = zeta_level: len(nums) == totient(level), den > 0 and
+    gcd(den, *nums) == 1.
 
     Invariant: every value returned by the constructors below, the
     arithmetic operators and galois_apply is stored at its minimal
     level, the smallest N with the value in Q(zeta_N).  A value thus has
-    one representation: equality is (level, coeffs) equality, and the
+    one representation: equality is (level, nums, den) equality, and the
     hash agrees with it, a level-1 value hashing as its rational (so it
-    also agrees with == on int and Fraction).  The raw dataclass
-    constructor and promote are the only ways to get a non-minimal
-    representation; mixed-level arithmetic uses them internally, and
-    tests use them to build inputs for minimize_level.
-    """
+    also agrees with == on int and Fraction).  The raw constructor
+    CycloNum(level, coeffs), from rational coefficients, and promote are
+    the only ways to get a non-minimal representation; mixed-level
+    arithmetic uses them internally, and tests use them to build inputs
+    for minimize_level."""
 
-    level: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("level", "nums", "den")
 
-    def __post_init__(self):
-        assert len(self.coeffs) == totient(self.level)
+    def __new__(cls, level: int, coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) != totient(level):
+            raise CycloError(f"level {level} needs {totient(level)} coefficients, got {len(coeffs)}")
+        # over the lcm of the denominators the numerators are coprime to it
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return _raw(level, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CycloNum is immutable: cannot set {name}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _raw, (self.level, self.nums, self.den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients, as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rational(q) -> "CycloNum":
-        return CycloNum(1, (Fraction(q),))
+        if type(q) is not int:
+            q = Fraction(q)
+            return _raw(1, (q.numerator,), q.denominator)
+        return _raw(1, (q,), 1)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "CycloNum":
@@ -145,47 +160,43 @@ class CycloNum:
             # k and n/2 are odd: zeta_n^k = -zeta_n^(k + n/2)
             return -CycloNum.zeta(n // 2, (k + n // 2) // 2)
         # a primitive n-th root of unity with n != 2 mod 4 has level n
-        raw = [Fraction(0)] * (k + 1)
-        raw[k] = Fraction(1)
-        return CycloNum(n, _reduce_mod_phi(raw, n))
+        raw = [0] * (k + 1)
+        raw[k] = 1
+        return _raw(n, _reduce_mod_phi(raw, n), 1)
 
     @staticmethod
     def zero() -> "CycloNum":
-        return CycloNum.from_rational(0)
+        return _ZERO
 
     @staticmethod
     def one() -> "CycloNum":
-        return CycloNum.from_rational(1)
+        return _ONE
 
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def promote(self, m: int) -> "CycloNum":
         """Re-express at level m (level must divide m); the result is
         not minimal when m > level."""
         if m == self.level:
             return self
-        assert m % self.level == 0
+        if m % self.level:
+            raise CycloError(f"level {self.level} does not divide {m}")
         step = m // self.level
-        raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            raw[i * step] += c
-        return CycloNum(m, _reduce_mod_phi(raw, m))
-
-    @staticmethod
-    def _common(a: "CycloNum", b: "CycloNum"):
-        m = math.lcm(a.level, b.level)
-        return a.promote(m), b.promote(m)
+        raw = [0] * ((len(self.nums) - 1) * step + 1)
+        raw[::step] = self.nums
+        # Z[zeta_level] is a direct summand of Z[zeta_m]: the content stays 1
+        return _raw(m, _reduce_mod_phi(raw, m), self.den)
 
     # -- arithmetic ---------------------------------------------------
     # A rational operand takes a fast path: adding a rational, or
@@ -194,14 +205,18 @@ class CycloNum:
     def __add__(self, other) -> "CycloNum":
         other = _coerce(other)
         if other.level == 1:
-            return _plus_rational(self, other.coeffs[0])
+            return _plus_rational(self, other.nums[0], other.den)
         if self.level == 1:
-            return _plus_rational(other, self.coeffs[0])
-        a, b = CycloNum._common(self, other)
-        return minimize_level(CycloNum(a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs))))
+            return _plus_rational(other, self.nums[0], self.den)
+        m = math.lcm(self.level, other.level)
+        a, b = self.promote(m).nums, other.promote(m).nums
+        da, db = self.den, other.den
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return minimize_level(_canonical(m, [x * fa + y * fb for x, y in zip(a, b)], da * fa))
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum(self.level, tuple(-x for x in self.coeffs))
+        return _raw(self.level, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other) -> "CycloNum":
         return self + (-_coerce(other))
@@ -209,19 +224,12 @@ class CycloNum:
     def __mul__(self, other) -> "CycloNum":
         other = _coerce(other)
         if other.level == 1:
-            return _times_rational(self, other.coeffs[0])
+            return _times_rational(self, other.nums[0], other.den)
         if self.level == 1:
-            return _times_rational(other, self.coeffs[0])
-        a, b = CycloNum._common(self, other)
-        raw = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y == 0:
-                    continue
-                raw[i + j] += x * y
-        return minimize_level(CycloNum(a.level, _reduce_mod_phi(raw, a.level)))
+            return _times_rational(other, self.nums[0], self.den)
+        m = math.lcm(self.level, other.level)
+        nums = _mul_nums(m, self.promote(m).nums, other.promote(m).nums)
+        return minimize_level(_canonical(m, nums, self.den * other.den))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -230,16 +238,22 @@ class CycloNum:
         return _coerce(other) - self
 
     def inv(self) -> "CycloNum":
+        """1/a = (prod of the conjugates sigma_k(a), k != 1) / N(a), the
+        norm N(a) = a * prod sigma_k(a) being rational."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        if self.is_rational():
-            return CycloNum.from_rational(1 / self.coeffs[0])
-        # 1/a generates the same field as a, so the level stays minimal
-        phi = [Fraction(c) for c in cyclotomic_coeffs(self.level)]
-        g, s = _poly_gcdext(list(self.coeffs), phi)
-        assert len(g) == 1 and g[0] != 0, "Phi_N is irreducible over Q"
-        inv_coeffs = [c / g[0] for c in s]
-        return CycloNum(self.level, _reduce_mod_phi(inv_coeffs, self.level))
+        n, v = self.level, self.nums
+        conj = (1,) + (0,) * (len(v) - 1)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                conj = _mul_nums(n, conj, _galois_nums(k, n, v))
+        norm = _mul_nums(n, v, conj)
+        if any(norm[1:]):
+            raise CycloError(f"norm at level {n} is not rational")
+        # a = v/den, so 1/a = den * conj(v) / N(v); 1/a generates the same
+        # field as a, so the level stays minimal
+        f = self.den if norm[0] > 0 else -self.den
+        return _canonical(n, [c * f for c in conj], abs(norm[0]))
 
     def __truediv__(self, other) -> "CycloNum":
         return self * _coerce(other).inv()
@@ -261,30 +275,66 @@ class CycloNum:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CycloNum):
-            return self.level == other.level and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.level == 1 and self.coeffs[0] == other
+            return self.level == other.level and self.den == other.den and self.nums == other.nums
+        if isinstance(other, int):
+            return self.level == 1 and self.den == 1 and self.nums[0] == other
+        if isinstance(other, Fraction):
+            return self.level == 1 and self.nums[0] == other.numerator and self.den == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs[0]) if self.level == 1 else hash((self.level, self.coeffs))
+        if self.level > 1:
+            return hash((self.level, self.nums, self.den))
+        return hash(self.nums[0]) if self.den == 1 else hash(Fraction(self.nums[0], self.den))
 
     def __repr__(self):
         return f"CycloNum({self.level}, {format_cyclo(self)!r})"
 
 
-def _plus_rational(a: CycloNum, q: Fraction) -> CycloNum:
-    if q == 0:
-        return a
-    return CycloNum(a.level, (a.coeffs[0] + q,) + a.coeffs[1:])
+_set_level = CycloNum.level.__set__
+_set_nums = CycloNum.nums.__set__
+_set_den = CycloNum.den.__set__
 
 
-def _times_rational(a: CycloNum, q: Fraction) -> CycloNum:
-    if q == 0:
-        return CycloNum.zero()
-    if q == 1:
+def _raw(level: int, nums: tuple[int, ...], den: int) -> CycloNum:
+    """The value with these fields, which must already satisfy den > 0
+    and gcd(den, *nums) == 1."""
+    a = object.__new__(CycloNum)
+    _set_level(a, level)
+    _set_nums(a, nums)
+    _set_den(a, den)
+    return a
+
+
+_ZERO = _raw(1, (0,), 1)
+_ONE = _raw(1, (1,), 1)
+
+
+def _canonical(level: int, nums, den: int) -> CycloNum:
+    """The value nums/den at this level, den > 0, with the common factor
+    of den and nums divided out."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        return _raw(level, tuple(x // g for x in nums), den // g)
+    return _raw(level, tuple(nums), den)
+
+
+def _plus_rational(a: CycloNum, num: int, den: int) -> CycloNum:
+    if num == 0:
         return a
-    return CycloNum(a.level, tuple(c * q for c in a.coeffs))
+    g = math.gcd(den, a.den)
+    fa, fb = den // g, a.den // g
+    nums = [x * fa for x in a.nums]
+    nums[0] += num * fb
+    return _canonical(a.level, nums, a.den * fa)
+
+
+def _times_rational(a: CycloNum, num: int, den: int) -> CycloNum:
+    if num == 0:
+        return _ZERO
+    if num == den:
+        return a
+    return _canonical(a.level, [x * num for x in a.nums], a.den * den)
 
 
 def _coerce(x) -> CycloNum:
@@ -295,79 +345,25 @@ def _coerce(x) -> CycloNum:
     raise TypeError(f"cannot coerce {x!r} to CycloNum")
 
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    db = len(b) - 1
-    while len(a) - 1 >= db and _poly_trim(a):
-        da = len(a) - 1
-        if da < db:
-            break
-        f = a[da] / b[db]
-        q[da - db] = f
-        for j in range(db + 1):
-            a[da - db + j] -= f * b[j]
-        a.pop()
-    return q, _poly_trim(a)
-
-
-def _poly_gcdext(a, b):
-    """Return (g, s) with s*a = g mod b, g the gcd of a and b."""
-    a = _poly_trim([Fraction(c) for c in a])
-    b = _poly_trim([Fraction(c) for c in b])
-    r0, r1 = a, b
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    return r0, s0
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _poly_trim(out)
-
-
 # -- operations ------------------------------------------------------
 
 
 def galois_apply(k: int, a: CycloNum) -> CycloNum:
     """The automorphism zeta_N -> zeta_N^k, k coprime to the level.  It
-    maps every subfield Q(zeta_d) onto itself, so the level stays minimal."""
+    maps every subfield Q(zeta_d) onto itself, so the level stays minimal,
+    and Z[zeta_N] onto itself, so the content stays 1."""
     n = a.level
     if math.gcd(k, n) != 1:
         raise NotCoprime(f"gcd({k}, {n}) != 1")
-    raw = [Fraction(0)] * ((len(a.coeffs) - 1) * (k % n) + 1 or 1)
-    for i, c in enumerate(a.coeffs):
-        if c == 0:
-            continue
-        e = (i * k) % n
-        while e >= len(raw):
-            raw.append(Fraction(0))
-        raw[e] += c
-    return CycloNum(n, _reduce_mod_phi(raw, n))
+    return _raw(n, _galois_nums(k % n, n, a.nums), a.den)
+
+
+def _galois_nums(k: int, n: int, v: tuple[int, ...]) -> tuple[int, ...]:
+    raw = [0] * n
+    for i, c in enumerate(v):
+        if c:
+            raw[i * k % n] += c
+    return _reduce_mod_phi(raw, n)
 
 
 @lru_cache(maxsize=None)
@@ -391,10 +387,10 @@ def embed(a: CycloNum, precision_bits: int = DEFAULT_PRECISION_BITS):
     under zeta_N -> exp(2*pi*i/N), computed at the given precision."""
     ctx = _iv_context(precision_bits)
     z = ctx.mpc(0)
-    for c, w in zip(a.coeffs, _unit_roots(a.level, precision_bits)):
+    for c, w in zip(a.nums, _unit_roots(a.level, precision_bits)):
         if c:
-            z += ctx.mpf(c.numerator) / c.denominator * w
-    return z
+            z += ctx.mpf(c) * w
+    return z / a.den if a.den != 1 else z
 
 
 def turns(z):
@@ -511,17 +507,16 @@ def minimize_level(a: CycloNum) -> CycloNum:
     if a.level == 1:
         return a
     if a.is_rational():
-        return CycloNum.from_rational(a.coeffs[0])
-    descended = True
-    while descended:
-        descended = False
+        # a rational has the same content in every power basis
+        return _raw(1, a.nums[:1], a.den)
+    while True:
         for p in _prime_factors(a.level):
             down = _descend(a, p)
             if down is not None:
                 a = down
-                descended = True
                 break
-    return a
+        else:
+            return a
 
 
 @lru_cache(maxsize=None)
@@ -541,57 +536,49 @@ def _prime_factors(n: int) -> tuple[int, ...]:
 
 def _descend(a: CycloNum, p: int) -> CycloNum | None:
     """a at level n/p when it lies in Q(zeta_(n/p)), else None; p is a
-    prime dividing n = a.level."""
+    prime dividing n = a.level.  Z[zeta_(n/p)] is Z[zeta_n] cut with
+    Q(zeta_(n/p)), so the content, and the denominator, stay."""
     n = a.level
     d = n // p
     if d % p == 0:
         # Phi_n(x) = Phi_d(x^p): the subfield is spanned by the powers
         # of zeta_n that are multiples of p
-        if any(c != 0 for i, c in enumerate(a.coeffs) if i % p):
+        if any(any(a.nums[r::p]) for r in range(1, p)):
             return None
-        down = CycloNum(d, a.coeffs[::p])
+        down = _raw(d, a.nums[::p], a.den)
     else:
         # zeta_n = zeta_d^x * zeta_p^y; group a = sum_j B_j zeta_p^j with
         # B_j in Q(zeta_d).  As zeta_p^(p-1) = -(1 + ... + zeta_p^(p-2)),
         # a lies in Q(zeta_d) iff B_1 = ... = B_(p-1), and then equals
-        # B_0 - B_(p-1).
+        # B_0 - B_(p-1).  The groups are reduced one at a time, so the
+        # first mismatch rejects.
         x, y = pow(p, -1, d), pow(d, -1, p)
-        raw = [[Fraction(0)] * d for _ in range(p)]
-        for i, c in enumerate(a.coeffs):
-            if c != 0:
+        raw = [[0] * d for _ in range(p)]
+        for i, c in enumerate(a.nums):
+            if c:
                 raw[y * i % p][x * i % d] += c
-        groups = [_reduce_mod_phi(r, d) for r in raw]
-        if any(g != groups[-1] for g in groups[1:-1]):
+        last = _reduce_mod_phi(raw[-1], d)
+        if any(_reduce_mod_phi(r, d) != last for r in raw[1:-1]):
             return None
-        down = CycloNum(d, tuple(u - v for u, v in zip(groups[0], groups[-1])))
-    if down.promote(n).coeffs != a.coeffs:
+        down = _raw(d, tuple(u - v for u, v in zip(_reduce_mod_phi(raw[0], d), last)), a.den)
+    if down.promote(n).nums != a.nums:
         raise CycloError(f"subfield descent from level {n} to {d} does not round-trip")
     return down
 
 
 def format_cyclo(a: CycloNum) -> str:
     """Render in the problem-file coefficient syntax at a's own level."""
-    if a.is_zero():
-        return "0"
     parts = []
-    for i, c in enumerate(a.coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append(f"{c}*z({a.level})")
-        else:
-            parts.append(f"{c}*z({a.level})^{i}")
-    return _join_terms(parts)
+    for i, c in enumerate(a.nums):
+        if c:
+            c = Fraction(c, a.den)
+            parts.append(str(c) if i == 0 else f"{c}*z({a.level})" + (f"^{i}" if i > 1 else ""))
+    return _join_terms(parts) if parts else "0"
 
 
 def _join_terms(parts: list[str]) -> str:
     """Join signed terms with " + ", folding a leading minus into " - "."""
     out = parts[0]
     for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
     return out

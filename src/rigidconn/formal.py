@@ -83,8 +83,9 @@ class RegularPart:
 
     @staticmethod
     def make(blocks) -> "RegularPart":
+        # an exponent that is already a Fraction in [0, 1) is kept as it is
         clean = sorted(
-            ((_norm_exp(a), int(s)) for a, s in blocks if s > 0),
+            ((a if type(a) is Fraction and 0 <= a < 1 else _norm_exp(a), int(s)) for a, s in blocks if s > 0),
             key=lambda b: (b[0], -b[1]),
         )
         if not clean:
@@ -124,20 +125,20 @@ class FormalType:
     @staticmethod
     def make(factors) -> "FormalType":
         """Canonicalize phis, merge factors on equal orbits, sort."""
-        merged: list[tuple[PolarPart, list]] = []
+        merged: list[tuple[PolarPart, RegularPart]] = []
         for f in factors:
             if isinstance(f, ExpFactor):
                 phi, reg = f.phi, f.reg
             else:
                 phi, reg = f
             rep, _ = canonical_rep(phi)
-            for i, (p2, blocks) in enumerate(merged):
+            for i, (p2, r) in enumerate(merged):
                 if p2 == rep:
-                    merged[i] = (p2, blocks + list(reg.blocks))
+                    merged[i] = (p2, RegularPart.make(r.blocks + reg.blocks))
                     break
             else:
-                merged.append((rep, list(reg.blocks)))
-        out = [ExpFactor(phi, RegularPart.make(blocks)) for phi, blocks in merged]
+                merged.append((rep, reg))  # kept unless another factor merges into it
+        out = [ExpFactor(phi, reg) for phi, reg in merged]
         out.sort(key=lambda f: (f.phi.sort_key(), f.reg.blocks))
         if not out:
             raise FormalError("formal type must have at least one factor")
@@ -200,9 +201,7 @@ class Problem:
         return [l for l, _ in self.points]
 
     def with_point(self, loc: Location, t: FormalType) -> "Problem":
-        pts = [(l, tt) for l, tt in self.points if l != loc]
-        pts.append((loc, t))
-        return Problem.make(self.N, pts)
+        return Problem.make(self.N, [(l, tt) for l, tt in self.points if l != loc] + [(loc, t)])
 
     def drop_point(self, loc: Location) -> "Problem":
         pts = [(l, tt) for l, tt in self.points if l != loc]
@@ -218,9 +217,7 @@ def rank(t: FormalType) -> int:
 
 def irregularity(t: FormalType) -> int:
     """Sum of slopes with multiplicity; an integer."""
-    total = Fraction(0)
-    for f in t.factors:
-        total += slope(f.phi) * f.rank()
+    total = sum((slope(f.phi) * f.rank() for f in t.factors), Fraction(0))
     assert total.denominator == 1
     return int(total)
 
@@ -265,23 +262,15 @@ def hom_h0(m: FormalType, nt: FormalType) -> int:
             p = fi.phi.ram
             for a, k in fi.reg.blocks:
                 for b, l in fj.reg.blocks:
-                    if _norm_exp(p * (a - b)) == 0:
+                    if (p * (a - b)).denominator == 1:
                         total += min(k, l)
     return total
 
 
 def twist_local(t: FormalType, psi: PolarPart, b) -> FormalType:
     """Tensor by the rank-one datum (psi, exponent shift b)."""
-    out = []
-    for f in t.factors:
-        new_phi = polar_add(f.phi, psi)
-        out.append((new_phi, f.reg.shifted(b)))
-    return FormalType.make(out)
+    return FormalType.make([(polar_add(f.phi, psi), f.reg.shifted(b)) for f in t.factors])
 
 
 def is_quasi_unipotent(p: Problem) -> bool:
-    for _, t in p.points:
-        for a in monodromy_exponents(t):
-            if (a * p.N).denominator != 1:
-                return False
-    return True
+    return all((a * p.N).denominator == 1 for _, t in p.points for a in monodromy_exponents(t))

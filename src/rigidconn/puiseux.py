@@ -64,9 +64,10 @@ class PolarPart:
 
     @staticmethod
     def make(ram: int, terms) -> "PolarPart":
-        if isinstance(terms, dict):
-            terms = terms.items()
-        clean = [(j, _norm_coeff(c)) for j, c in terms if not cis_zero(c)]
+        by_order = {}  # like terms merged
+        for j, c in terms.items() if isinstance(terms, dict) else terms:
+            by_order[j] = cadd(by_order[j], c) if j in by_order else c
+        clean = [(j, _norm_coeff(c)) for j, c in by_order.items() if not cis_zero(c)]
         if not clean:
             return PolarPart(1, ())
         assert all(j > 0 for j, _ in clean)

@@ -344,4 +344,5 @@ def csort_key(a):
         return (1, tuple((_monomial_key(mono),) + csort_key(c)[1:] for mono, c in a.terms))
     if not isinstance(a, CycloNum):
         a = CycloNum.from_rational(a)
-    return (0, a.level, a.coeffs)
+    # an int orders like the equal Fraction, so the order is that of coeffs
+    return (0, a.level, a.nums if a.den == 1 else a.coeffs)

@@ -84,6 +84,12 @@ def test_parse_polar():
     assert two == PolarPart.unramified({2: CycloNum.from_rational(2), 1: CycloNum.from_rational(-1)})
 
 
+def test_parse_polar_merges_like_terms():
+    assert parse_polar("t^(-1) - t^(-1)") == PolarPart.zero()
+    assert parse_polar("t^(-1) + t^(-1)") == parse_polar("2*t^(-1)")
+    assert parse_polar("t^(-1/2) + z(3)*t^(-2) - t^(-1/2)") == parse_polar("z(3)*t^(-2)")
+
+
 def test_polar_roundtrip_with_radical_coefficient():
     phi = PolarPart.make(3, [(1, croot(CycloNum.from_rational(2), 2))])
     assert parse_polar(polar_str(phi)) == phi
@@ -358,6 +364,49 @@ def test_malformed_problem_exits_2(name, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_INPUT
     assert out == "" and err.startswith("error: ")
+
+
+def test_parse_error_names_the_problem_field(tmp_path):
+    d = json.loads(print_problem(kloosterman()))
+    MALFORMED["exp_decimal"](d)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    code, out, err = run(["rig", str(path)])
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: points[0].factors[0].reg[0].exp: line 1, column 2: unexpected character '.'\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "cert, path, value, where",
+    [
+        ("cert_kloos0", ["steps", 0, "coeffs", 1], "1/0", "steps[0].coeffs[1]: line 1, column 4: zero denominator"),
+        ("cert_kloos0", ["steps", 1, "loc"], "z(3", "steps[1].loc: line 1, column 4: expected ')', got 'eof'"),
+        ("cert_hyper", ["steps", 0, "chi_exponent"], "1/2x", "steps[0].chi_exponent: line 1, column 4: trailing input"),
+        ("cert_hyper", ["origin", "points", 2, "factors", 0, "phi"], "t^(-1", "origin.points[2].factors[0].phi: line 1, column 6: expected ')', got 'eof'"),
+    ],
+)
+def test_parse_error_names_the_certificate_field(cert, path, value, where, tmp_path):
+    d = json.loads((GOLDEN / f"{cert}.json").read_text(encoding="utf-8"))
+    _set(path, value)(d)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d), encoding="utf-8")
+    code, out, err = run(["replay", str(bad)])
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: {where}\n"
+
+
+def test_parse_error_names_the_twist_step_field():
+    points = [{"loc": "0", "phi": "0", "shift": "1/2"}, {"loc": "inf", "phi": "t^(-1", "shift": "0"}]
+    twist = {"kind": "twist", "points": points, "predicted_rank": 1}
+    d = json.loads((GOLDEN / "cert_hyper.json").read_text(encoding="utf-8"))
+    d["steps"].insert(0, twist)
+    with pytest.raises(ParseError) as e:
+        parse_certificate(json.dumps(d))
+    assert e.value.where == "steps[0].points[1].phi"
+    assert str(e.value) == "steps[0].points[1].phi: line 1, column 6: expected ')', got 'eof'"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Exact cyclotomic arithmetic, certified embeddings and angles."""
 
+import math
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -23,7 +25,7 @@ from rigidconn.puiseux import PolarPart
 from rigidconn.radicals import cembed, cmul, croot
 from rigidconn.stokes import order_arcs
 
-from helpers import REF_BITS, angle_holds, encloses, ref_turns, ref_value
+from helpers import REF_BITS, REF_TOL, angle_holds, encloses, ref_turns, ref_value
 
 F = Fraction
 
@@ -178,14 +180,60 @@ def test_cyclotomic_polynomial_degree():
 
 
 @st.composite
-def cyclo_values(draw):
-    """A nonzero CycloNum drawn at a level from 1 to 60, stored at its
-    minimal level."""
-    n = draw(st.integers(1, 60))
+def cyclo_values(draw, levels=st.integers(1, 60)):
+    """A nonzero CycloNum drawn at a level from 1 to 60 (or from levels),
+    stored at its minimal level."""
+    n = draw(levels)
     coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
     a = minimize_level(CycloNum(n, tuple(draw(st.lists(coeff, min_size=totient(n), max_size=totient(n))))))
     assume(not a.is_zero())
     return a
+
+
+def _stored_form_holds(x: CycloNum) -> bool:
+    """The integer-vector invariant: one positive denominator, coprime
+    to the numerators, and totient(level) numerators."""
+    return x.den > 0 and math.gcd(x.den, *x.nums) == 1 and len(x.nums) == totient(x.level)
+
+
+def _mass(x: CycloNum):
+    return 1 + sum(abs(c) for c in x.coeffs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data(), st.integers(1, 100), st.integers(1, 4))
+def test_integer_vectors_are_normalised_and_agree_with_the_1000_bit_values(data, k, step):
+    """b is drawn at a level whose lcm with the level of a is at most
+    120, which bounds the cost of a product and of its 1000-bit reference."""
+    a = data.draw(cyclo_values())
+    b = data.draw(cyclo_values(st.sampled_from([n for n in range(1, 61) if math.lcm(a.level, n) <= 120])))
+    k = next(j for j in range(k, k + a.level + 1) if math.gcd(j, a.level) == 1)
+    prod, total, inv = a * b, a + b, a.inv()
+    results = [prod, total, a - b, a / b, inv, b.inv(), -a, galois_apply(k, a), a.promote(a.level * step)]
+    for x in results:
+        assert _stored_form_holds(x)
+        assert CycloNum(x.level, x.coeffs) == x
+    assert a * inv == 1
+    with mpmath.workprec(REF_BITS):
+        ra, rb = ref_value(a), ref_value(b)
+        assert abs(ref_value(prod) - ra * rb) <= REF_TOL * _mass(a) * _mass(b)
+        assert abs(ref_value(total) - (ra + rb)) <= REF_TOL * (_mass(a) + _mass(b))
+        assert abs(ref_value(inv) * ra - 1) <= REF_TOL * _mass(inv) * _mass(a)
+
+
+@pytest.mark.parametrize("n", [60, 84])
+def test_inverse_by_the_norm_at_high_levels(n):
+    z = CycloNum.zeta(n)
+    a = F(2, 3) + z - 3 * z**7 + F(1, 5) * z**11
+    inv = a.inv()
+    assert a.level == inv.level == n and _stored_form_holds(inv)
+    assert a * inv == 1 and inv * a == 1 and inv.inv() == a
+    assert (a / a) == 1 and (1 / a) == inv
+    assert pickle.loads(pickle.dumps(inv)) == inv
+    # every norm above level 2 is positive; a negative rational keeps den > 0
+    assert CycloNum.from_rational(F(-3, 4)).inv() == F(-4, 3)
+    with mpmath.workprec(REF_BITS):
+        assert abs(ref_value(inv) * ref_value(a) - 1) <= REF_TOL * _mass(inv) * _mass(a)
 
 
 # radicands for croot: a small fixed set, because registering a radicand
