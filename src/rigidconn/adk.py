@@ -4,7 +4,11 @@ rank-decreasing steps, certificates and replay.
 A run alternates normalize_problem (Moebius position, apparent
 singularities) with reduce_step (Twist+MC when infinity is unramified,
 Twist+Fourier when a ramified factor sits at infinity) until rank one.
-The recorded Certificate replays backwards by inverse steps.
+Each move is a frozen record of its kind -- Moebius, AddApparent, Twist,
+Mc or Fourier -- holding its parameters and predicted_rank, the rank it
+leaves behind; apply(P) makes the move and undo(P) inverts it.  The
+Certificate is the list of records, and replay_certificate undoes them
+from the terminal problem back to the origin.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .cyclo import CycloNum
 from .formal import (
@@ -31,6 +36,7 @@ from .puiseux import (
 )
 from .rigidity import rig_index
 from .transforms import (
+    InvariantViolation,
     RankOneData,
     TransformsError,
     fourier_global,
@@ -60,21 +66,7 @@ class ReplayMismatch(AdkError):
         self.diff = diff
 
 
-# -- step / certificate types ----------------------------------------
-
-
-@dataclass(frozen=True)
-class Step:
-    kind: str  # moebius | add_apparent | twist | mc | fourier
-    data: object
-    predicted_rank: int
-
-
-@dataclass(frozen=True)
-class Certificate:
-    steps: tuple[Step, ...]
-    terminal: Problem
-    origin: Problem  # starting problem; replay must land exactly here
+# -- verdict types ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -124,9 +116,7 @@ def moebius_coeffs(s_inf: Location, s0: Location, s1: Location | None):
         # pole at xs, zero at infinity
         k = (s1.value - xs) if s1 is not None else one
         return zero, k, one, -xs
-    if s1 is None:
-        return one, -s0.value, one, -xs
-    if s1.is_inf:
+    if s1 is None or s1.is_inf:
         return one, -s0.value, one, -xs
     k = (s1.value - xs) * (s1.value - s0.value).inv()
     return k, -k * s0.value, one, -xs
@@ -161,7 +151,8 @@ def _transport_polar(phi: PolarPart, src: Location, dst: Location, a, b, c, d) -
         w = den * num.inverse()
     else:
         w = (num - den.scale(dst.value)) * den.inverse()
-    assert w.valuation() == p, "Moebius image coordinate must vanish to order p"
+    if w.valuation() != p:
+        raise InvariantViolation("Moebius image coordinate must vanish to order p")
     u0 = w.terms[p]
     rest = w.shift(-p).scale(cinv(u0)) - Lser.const(CycloNum.one(), big)
     zprime = (_binom_pow(rest, Fraction(1, p), order).scale(croot(u0, p))).shift(1)
@@ -169,21 +160,97 @@ def _transport_polar(phi: PolarPart, src: Location, dst: Location, a, b, c, d) -
     out = Lser({}, big)
     for j, coeff in phi.terms:
         out = out + zser.pow(-j).scale(coeff)
-    assert out.trunc >= 1, "Moebius transport under-resolved"
+    if out.trunc < 1:
+        raise InvariantViolation("Moebius transport under-resolved")
     return PolarPart.make(p, {-k: cc for k, cc in out.terms.items() if k < 0})
 
 
-def apply_moebius(P: Problem, a, b, c, d) -> Problem:
-    pts = []
-    for loc, t in P.points:
-        dst = moebius_apply_loc(loc, a, b, c, d)
-        factors = [(_transport_polar(f.phi, loc, dst, a, b, c, d), f.reg) for f in t.factors]
-        pts.append((dst, FormalType.make(factors)))
-    return Problem.make(P.N, pts)
+# -- step records ----------------------------------------------------
 
 
-def _invert_coeffs(a, b, c, d):
-    return d, -b, -c, a
+@dataclass(frozen=True)
+class Moebius:
+    kind: ClassVar[str] = "moebius"
+    coeffs: tuple  # (a, b, c, d) of t -> (a t + b) / (c t + d)
+    predicted_rank: int
+
+    def apply(self, P: Problem) -> Problem:
+        pts = []
+        for loc, t in P.points:
+            dst = moebius_apply_loc(loc, *self.coeffs)
+            factors = [(_transport_polar(f.phi, loc, dst, *self.coeffs), f.reg) for f in t.factors]
+            pts.append((dst, FormalType.make(factors)))
+        return Problem.make(P.N, pts)
+
+    def undo(self, P: Problem) -> Problem:
+        a, b, c, d = self.coeffs
+        return Moebius((d, -b, -c, a), self.predicted_rank).apply(P)
+
+
+@dataclass(frozen=True)
+class AddApparent:
+    kind: ClassVar[str] = "add_apparent"
+    loc: Location  # gains the trivial formal type
+    predicted_rank: int
+
+    def apply(self, P: Problem) -> Problem:
+        return P.with_point(self.loc, FormalType.trivial(P.rank()))
+
+    def undo(self, P: Problem) -> Problem:
+        t = P.at(self.loc)
+        if t is None:
+            return P  # the apparent point evaporated through a transform round
+        if not t.is_trivial():
+            raise ReplayMismatch(f"apparent singularity at {self.loc!r} is not trivial on replay")
+        return P.drop_point(self.loc)
+
+
+@dataclass(frozen=True)
+class Twist:
+    kind: ClassVar[str] = "twist"
+    points: RankOneData
+    predicted_rank: int
+
+    def apply(self, P: Problem) -> Problem:
+        return twist_global(P, self.points)
+
+    def undo(self, P: Problem) -> Problem:
+        return twist_global(P, self.points.inverse())
+
+
+@dataclass(frozen=True)
+class Mc:
+    kind: ClassVar[str] = "mc"
+    chi_exponent: Fraction
+    predicted_rank: int
+
+    def apply(self, P: Problem) -> Problem:
+        return middle_convolution(P, self.chi_exponent)
+
+    def undo(self, P: Problem) -> Problem:
+        return middle_convolution(P, (-self.chi_exponent) % 1)
+
+
+@dataclass(frozen=True)
+class Fourier:
+    kind: ClassVar[str] = "fourier"
+    predicted_rank: int
+
+    def apply(self, P: Problem) -> Problem:
+        return fourier_global(P)
+
+    def undo(self, P: Problem) -> Problem:
+        return fourier_inverse(P)
+
+
+StepRecord = Moebius | AddApparent | Twist | Mc | Fourier
+
+
+@dataclass(frozen=True)
+class Certificate:
+    steps: tuple[StepRecord, ...]
+    terminal: Problem
+    origin: Problem  # starting problem; replay must land exactly here
 
 
 # -- normalization ---------------------------------------------------
@@ -203,11 +270,11 @@ def _apparent_location_candidates():
         yield Location.of(k)
 
 
-def normalize_problem(P: Problem) -> tuple[Problem, list[Step]]:
+def normalize_problem(P: Problem) -> tuple[Problem, list[StepRecord]]:
     special = _special_locations(P)
     if len(special) >= 2:
         raise TwoSpecialPoints(f"ramified factors at {special[0]!r} and {special[1]!r}")
-    steps: list[Step] = []
+    steps: list[StepRecord] = []
     r = P.rank()
 
     zero, one = Location.of(0), Location.of(1)
@@ -220,25 +287,21 @@ def normalize_problem(P: Problem) -> tuple[Problem, list[Step]]:
         rank_of = {zero: 0, one: 1}
         others = [l for l in P.locations() if l != s_inf]
         ordered = sorted(others, key=lambda l: (rank_of.get(l, 2), l.sort_key()))
-        s0 = ordered[0] if ordered else None
+        # a single-point problem gets a plain shift of the special point
+        s0 = ordered[0] if ordered else zero
         s1 = ordered[1] if len(ordered) > 1 else None
-        if s0 is None:
-            # single-point problem: plain shift of the special point
-            a, b, c, d = moebius_coeffs(s_inf, Location.of(0), None)
-        else:
-            a, b, c, d = moebius_coeffs(s_inf, s0, s1)
-        P = apply_moebius(P, a, b, c, d)
-        steps.append(Step("moebius", (a, b, c, d), r))
+        steps.append(Moebius(moebius_coeffs(s_inf, s0, s1), r))
+        P = steps[-1].apply(P)
 
     for cand in _apparent_location_candidates():
         if len(P.points) >= 3 and P.at(zero) is not None and P.at(one) is not None:
             break
         if P.at(cand) is None:
-            P = P.with_point(cand, FormalType.trivial(r))
-            steps.append(Step("add_apparent", cand, r))
+            steps.append(AddApparent(cand, r))
+            P = steps[-1].apply(P)
     if P.at(INF) is None:
-        P = P.with_point(INF, FormalType.trivial(r))
-        steps.append(Step("add_apparent", INF, r))
+        steps.append(AddApparent(INF, r))
+        P = steps[-1].apply(P)
     return P, steps
 
 
@@ -254,9 +317,9 @@ def _exponents_at(t: FormalType) -> list[Fraction]:
     return sorted(out)
 
 
-def _unramified_heads(t: FormalType) -> list[PolarPart]:
+def _unramified_heads(factors) -> list[PolarPart]:
     out = []
-    for f in t.factors:
+    for f in factors:
         if not f.phi.is_zero():
             h = unramified_head(f.phi)
             if not h.is_zero() and not any(h == g for g in out):
@@ -270,7 +333,8 @@ def reduce_step(P: Problem):
     if rig_index(P) != 2:
         raise PreconditionRig(f"rig_index = {rig_index(P)}")
     r = P.rank()
-    assert r >= 2
+    if r < 2:
+        raise InvariantViolation(f"reduction step at rank {r}")
     tinf = P.at(INF) or FormalType.trivial(r)
     ramified_at_inf = any(f.phi.ram >= 2 for f in tinf.factors)
     if ramified_at_inf:
@@ -284,7 +348,7 @@ def _finite_candidates(P: Problem):
     for loc, t in P.points:
         if loc.is_inf:
             continue
-        psis = [PolarPart.zero()] + [polar_neg(h) for h in _unramified_heads(t)]
+        psis = [PolarPart.zero()] + [polar_neg(h) for h in _unramified_heads(t.factors)]
         alphas = sorted({(-a) % 1 for a in _exponents_at(t)})
         out.append((loc, [(psi, al) for psi in psis for al in alphas]))
     return out
@@ -292,7 +356,7 @@ def _finite_candidates(P: Problem):
 
 def _reduce_case_a(P: Problem, tinf: FormalType, r: int):
     finite = _finite_candidates(P)
-    inf_psis = [PolarPart.zero()] + [polar_neg(h) for h in _unramified_heads(tinf)]
+    inf_psis = [PolarPart.zero()] + [polar_neg(h) for h in _unramified_heads(tinf.factors)]
     for combo in itertools.product(*[opts for _, opts in finite]):
         b_inf = (-sum((al for _, al in combo), Fraction(0))) % 1
         for psi_inf in inf_psis:
@@ -300,8 +364,8 @@ def _reduce_case_a(P: Problem, tinf: FormalType, r: int):
                 (loc, psi, al)
                 for (loc, _), (psi, al) in zip(finite, combo)
             ] + [(INF, psi_inf, b_inf)]
-            L = RankOneData.make(twist_pts)
-            Pt = twist_global(P, L)
+            twist = Twist(RankOneData.make(twist_pts), r)
+            Pt = twist.apply(P)
             tinf_t = Pt.at(INF)
             if any(not f.phi.is_zero() for f in tinf_t.factors):
                 continue  # infinity polar part not cancelled; MC inapplicable
@@ -309,44 +373,32 @@ def _reduce_case_a(P: Problem, tinf: FormalType, r: int):
             for g in sorted(gammas):
                 predicted = mc_rank_prediction(Pt, g)
                 if predicted < r:
-                    steps = []
-                    if not L.is_trivial():
-                        steps.append(Step("twist", L, r))
-                    out = middle_convolution(Pt, g)
-                    steps.append(Step("mc", g, out.rank()))
-                    return out, steps
+                    mc = Mc(g, predicted)
+                    steps = [] if twist.points.is_trivial() else [twist]
+                    return mc.apply(Pt), steps + [mc]
     return Stuck(r)
 
 
 def _reduce_case_b(P: Problem, tinf: FormalType, r: int):
     # twist away the integral-exponent head of a ramified factor, then Fourier
-    heads = [PolarPart.zero()]
-    for f in tinf.factors:
-        if f.phi.ram >= 2:
-            h = unramified_head(f.phi)
-            if not h.is_zero() and not any(h == g for g in heads):
-                heads.append(h)
-    heads_sorted = [heads[0]] + sorted(heads[1:], key=lambda g: g.sort_key())
+    heads = [PolarPart.zero()] + _unramified_heads(f for f in tinf.factors if f.phi.ram >= 2)
     shifts = [Fraction(0)] + sorted({(-a) % 1 for a in _exponents_at(tinf) if a != 0})
     best = None
-    for psi0 in heads_sorted:
+    for psi0 in heads:
         psi = polar_neg(psi0) if not psi0.is_zero() else psi0
         for b in shifts:
-            L = RankOneData.make([(INF, psi, b)])
-            Pt = twist_global(P, L)
+            twist = Twist(RankOneData.make([(INF, psi, b)]), r)
+            Pt = twist.apply(P)
             predicted = fourier_rank_prediction(Pt)
             if predicted < r and (best is None or predicted < best[0]):
-                best = (predicted, L, Pt)
+                best = (predicted, twist, Pt)
     if best is None:
         return Stuck(r)
-    predicted, L, Pt = best
-    steps = []
-    if not L.is_trivial():
-        steps.append(Step("twist", L, r))
-    out = fourier_global(Pt)
-    assert out.rank() == predicted, "Fourier rank prediction violated"
-    steps.append(Step("fourier", None, out.rank()))
-    return out, steps
+    predicted, twist, Pt = best
+    # fourier_global raises unless its output has the predicted rank
+    fourier = Fourier(predicted)
+    steps = [] if twist.points.is_trivial() else [twist]
+    return fourier.apply(Pt), steps + [fourier]
 
 
 # -- driver ----------------------------------------------------------
@@ -355,7 +407,7 @@ def _reduce_case_b(P: Problem, tinf: FormalType, r: int):
 def run_adk(P: Problem, max_steps: int = 64):
     if rig_index(P) != 2:
         return NotRigid(f"rig_index = {rig_index(P)}")
-    steps: list[Step] = []
+    steps: list[StepRecord] = []
     cur = P
     r0 = P.rank()
     compound = 0
@@ -377,58 +429,29 @@ def run_adk(P: Problem, max_steps: int = 64):
         cur, red_steps = res
         steps.extend(red_steps)
         compound += 1
-        assert rig_index(cur) == 2, "rigidity index must stay 2 along a successful run"
-        assert compound <= r0 - 1, "too many compound steps for the starting rank"
+        if rig_index(cur) != 2:
+            raise InvariantViolation("rigidity index must stay 2 along a successful run")
+        if compound > r0 - 1:
+            raise InvariantViolation("too many compound steps for the starting rank")
     return Certificate(tuple(steps), cur, P)
 
 
 # -- replay ----------------------------------------------------------
 
 
-def _undo_step(P: Problem, step: Step) -> Problem:
-    if step.kind == "moebius":
-        a, b, c, d = step.data
-        return apply_moebius(P, *_invert_coeffs(a, b, c, d))
-    if step.kind == "add_apparent":
-        loc = step.data
-        t = P.at(loc)
-        if t is None:
-            return P  # the apparent point evaporated through a transform round
-        if not t.is_trivial():
-            raise ReplayMismatch(f"apparent singularity at {loc!r} is not trivial on replay")
-        return P.drop_point(loc)
-    if step.kind == "twist":
-        return twist_global(P, step.data.inverse())
-    if step.kind == "mc":
-        return middle_convolution(P, (-step.data) % 1)
-    if step.kind == "fourier":
-        return fourier_inverse(P)
-    raise ReplayMismatch(f"unknown step kind {step.kind!r}")
-
-
 def replay_certificate(C: Certificate) -> Problem:
     """Walk the certificate backwards with inverse steps; returns the
     reconstructed original problem."""
     cur = C.terminal
-    if C.steps and C.steps[-1].predicted_rank != cur.rank():
-        raise ReplayMismatch(
-            f"terminal rank {cur.rank()} != recorded {C.steps[-1].predicted_rank}"
-        )
-    for i in range(len(C.steps) - 1, -1, -1):
-        step = C.steps[i]
+    for i, step in reversed(list(enumerate(C.steps))):
         if step.predicted_rank != cur.rank():
             raise ReplayMismatch(
                 f"step {i} ({step.kind}): rank {cur.rank()} != recorded {step.predicted_rank}"
             )
         try:
-            cur = _undo_step(cur, step)
+            cur = step.undo(cur)
         except (TransformsError, AssertionError) as e:
             raise ReplayMismatch(f"step {i} ({step.kind}) failed to invert: {e}") from e
-        expect = C.steps[i - 1].predicted_rank if i > 0 else None
-        if expect is not None and cur.rank() != expect:
-            raise ReplayMismatch(
-                f"after undoing step {i} ({step.kind}): rank {cur.rank()} != {expect}"
-            )
     diff = _problem_diff(cur, C.origin)
     if diff is not None:
         raise ReplayMismatch("replayed problem differs from recorded origin: " + diff)

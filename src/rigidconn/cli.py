@@ -16,14 +16,16 @@ import json
 import math
 import re
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from functools import reduce
+from typing import get_args
 
 from .adk import (
     Certificate,
     NotRigid,
     ReplayMismatch,
-    Step,
+    StepRecord,
     replay_certificate,
     run_adk,
 )
@@ -90,7 +92,7 @@ _TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<sym>[-+*/^()
 
 
 class _Tokens:
-    """The tokens of one text as (kind, text, offset), ending in an "eof"
+    """The tokens of one text as (group, text, offset), ending in an "eof"
     token with empty text; line and column are worked out only for an
     error."""
 
@@ -99,8 +101,8 @@ class _Tokens:
         self.toks = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN.finditer(text)]
         self.toks.append(("eof", "", len(text)))
         self.pos = 0
-        for kind, s, offset in self.toks:
-            if kind == "bad":
+        for group, s, offset in self.toks:
+            if group == "bad":
                 raise self.error(f"unexpected character {s!r}", offset)
 
     def peek(self) -> str:
@@ -117,8 +119,8 @@ class _Tokens:
             raise self.error(f"expected {s!r}, got {self.peek() or 'eof'!r}")
 
     def integer(self) -> int:
-        kind, s, offset = self.toks[self.pos]
-        if kind != "int":
+        group, s, offset = self.toks[self.pos]
+        if group != "int":
             raise self.error(f"expected an integer, got {s or 'eof'!r}")
         self.pos += 1
         try:
@@ -154,8 +156,8 @@ def _power(tk: _Tokens) -> int:
 
 
 def _factor(tk: _Tokens):
-    kind, s, offset = tk.toks[tk.pos]
-    if kind == "int":
+    group, s, offset = tk.toks[tk.pos]
+    if group == "int":
         return CycloNum.from_rational(_ratio(tk))
     tk.pos += 1
     if s == "-":
@@ -418,25 +420,6 @@ def print_problem(P: Problem) -> str:
     return json.dumps(problem_to_dict(P), indent=2) + "\n"
 
 
-def step_to_dict(s: Step) -> dict:
-    d = {"kind": s.kind}
-    if s.kind == "moebius":
-        d["coeffs"] = [coeff_str(c) for c in s.data]
-    elif s.kind == "add_apparent":
-        d["loc"] = loc_str(s.data)
-    elif s.kind == "twist":
-        d["points"] = [
-            {"loc": loc_str(l), "phi": polar_str(psi), "shift": str(b)}
-            for l, psi, b in s.data.points
-        ]
-    elif s.kind == "mc":
-        d["chi_exponent"] = str(s.data)
-    elif s.kind != "fourier":
-        raise SemanticError(f"unknown step kind {s.kind!r}")
-    d["predicted_rank"] = s.predicted_rank
-    return d
-
-
 def _twist_point(pt) -> tuple:
     _check_fields(pt, {"loc", "phi", "shift"}, "twist point")
     return _field(parse_loc, pt, "loc"), _field(parse_polar, pt, "phi"), _field(parse_rational, pt, "shift")
@@ -447,30 +430,48 @@ def _twist_data(entries) -> RankOneData:
     return RankOneData.make(_each(_twist_point, entries, "points", "twist points"))
 
 
-def step_from_dict(d: dict) -> Step:
-    kind = _typed(d, dict, "step").get("kind")
+def _moebius_coeffs(d: dict) -> tuple:
+    coeffs = _each(lambda c: parse_coeff(_typed(c, str, "a coefficient")), d.get("coeffs"), "coeffs")
+    if len(coeffs) != 4:
+        raise SemanticError("moebius step needs 4 coefficients")
+    return tuple(coeffs)
+
+
+def _predicted_rank(d: dict) -> int:
     rank = _typed(d.get("predicted_rank"), int, "predicted_rank")
     if rank < 1:
         raise SemanticError("predicted_rank must be a positive integer")
-    if kind == "moebius":
-        _check_fields(d, {"kind", "coeffs", "predicted_rank"}, "moebius step")
-        coeffs = _each(lambda c: parse_coeff(_typed(c, str, "a coefficient")), d.get("coeffs"), "coeffs")
-        if len(coeffs) != 4:
-            raise SemanticError("moebius step needs 4 coefficients")
-        return Step("moebius", tuple(coeffs), rank)
-    if kind == "add_apparent":
-        _check_fields(d, {"kind", "loc", "predicted_rank"}, "add_apparent step")
-        return Step("add_apparent", _field(parse_loc, d, "loc"), rank)
-    if kind == "twist":
-        _check_fields(d, {"kind", "points", "predicted_rank"}, "twist step")
-        return Step("twist", _twist_data(d.get("points")), rank)
-    if kind == "mc":
-        _check_fields(d, {"kind", "chi_exponent", "predicted_rank"}, "mc step")
-        return Step("mc", _field(parse_rational, d, "chi_exponent"), rank)
-    if kind == "fourier":
-        _check_fields(d, {"kind", "predicted_rank"}, "fourier step")
-        return Step("fourier", None, rank)
-    raise SemanticError(f"unknown step kind {kind!r}")
+    return rank
+
+
+# Step record fields by name: (JSON printer of the value, parser of the
+# value from the step document).
+_STEP_FIELDS = {
+    "coeffs": (lambda cs: [coeff_str(c) for c in cs], _moebius_coeffs),
+    "loc": (loc_str, lambda d: _field(parse_loc, d, "loc")),
+    "points": (
+        lambda L: [{"loc": loc_str(l), "phi": polar_str(psi), "shift": str(b)} for l, psi, b in L.points],
+        lambda d: _twist_data(d.get("points")),
+    ),
+    "chi_exponent": (str, lambda d: _field(parse_rational, d, "chi_exponent")),
+    "predicted_rank": (int, _predicted_rank),
+}
+_STEP_KINDS = {cls.kind: cls for cls in get_args(StepRecord)}
+
+
+def step_to_dict(s: StepRecord) -> dict:
+    return {"kind": s.kind, **{f.name: _STEP_FIELDS[f.name][0](getattr(s, f.name)) for f in fields(s)}}
+
+
+def step_from_dict(d: dict) -> StepRecord:
+    kind = _typed(d, dict, "step").get("kind")
+    rank = _predicted_rank(d)
+    cls = _STEP_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SemanticError(f"unknown step kind {kind!r}")
+    names = [f.name for f in fields(cls)]
+    _check_fields(d, {"kind", *names}, f"{kind} step")
+    return cls(**{n: _STEP_FIELDS[n][1](d) for n in names if n != "predicted_rank"}, predicted_rank=rank)
 
 
 def certificate_to_dict(C: Certificate) -> dict:
@@ -628,17 +629,13 @@ def _cmd_stokes_arcs(args, out) -> int:
     for psi in phis:
         for phi in phis:
             le, strict = order_arcs(psi, phi, p)
-            entry = {"psi": polar_str(psi), "phi": polar_str(phi)}
-            if le is FULL_CIRCLE:
-                entry["full_circle"] = True
-                entry["strict"] = []
-            else:
-                entry["full_circle"] = False
-                entry["strict"] = [
-                    {"start": _arc_endpoint_json(a.start), "end": _arc_endpoint_json(a.end)}
-                    for a in strict
-                ]
-            report.append(entry)
+            # strict is empty where le is the full circle
+            report.append({
+                "psi": polar_str(psi),
+                "phi": polar_str(phi),
+                "full_circle": le is FULL_CIRCLE,
+                "strict": [{"start": _arc_endpoint_json(a.start), "end": _arc_endpoint_json(a.end)} for a in strict],
+            })
     out.write(json.dumps({"cover": p, "pairs": report}, indent=2) + "\n")
     return EXIT_OK
 

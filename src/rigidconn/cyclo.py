@@ -484,19 +484,6 @@ def angle_exact(a: CycloNum):
     return _refine(a, decide)
 
 
-def certified_re_sign(a: CycloNum) -> int:
-    """Sign of Re(embedding of a): -1, 0, +1; exact zero only when the
-    element itself certifies it."""
-    if a.is_zero():
-        return 0
-    # Re(a) = (a + conj(a))/2 is the Galois image under k = -1
-    re2 = a + galois_apply(-1 % a.level if a.level > 1 else 1, a)
-    if re2.is_zero():
-        return 0
-    # interval comparisons are True or False when decided, None when not
-    return _refine(re2, lambda z: 1 if z.real > 0 else -1 if z.real < 0 else None)
-
-
 def minimize_level(a: CycloNum) -> CycloNum:
     """Re-express a at the smallest cyclotomic level containing it.
 

@@ -133,12 +133,6 @@ def is_minimal(phi: PolarPart) -> bool:
     return g == 1
 
 
-def ramify(phi: PolarPart, q: int) -> PolarPart:
-    """Pullback under t = u^q."""
-    assert q >= 1
-    return PolarPart.make(phi.ram, [(j * q, c) for j, c in phi.terms])
-
-
 def _raw_ramify(phi: PolarPart, q: int):
     """Exponent map at level ram*q without normal-form reduction."""
     return phi.ram * q, {j * q: c for j, c in phi.terms}

@@ -1,4 +1,5 @@
-"""Order arcs and graded Stokes bookkeeping on the circle of directions.
+"""Order arcs on the circle of directions, as the stokes-arcs command
+prints them.
 
 For polar parts psi, phi at a common ramification p, the relation
 psi <=_theta phi holds where psi = phi or Re((psi-phi)(eps e^{i theta}))
@@ -9,8 +10,8 @@ turns.  They are exact Fractions whenever the leading coefficient has a
 rational angle: a CycloNum whose angle angle_exact finds, or a radical
 monomial over positive rational radicands times such a CycloNum.
 Otherwise they are mpmath real intervals (ivmpf) certified to contain
-the angle, read modulo 1; a direction is then decided only when its
-interval stays off the boundary, and UndecidedSign is raised if not.
+the angle, read modulo 1, and UndecidedSign is raised where no such
+interval can be certified.
 """
 
 from __future__ import annotations
@@ -21,21 +22,9 @@ from fractions import Fraction
 
 from mpmath.ctx_iv import ivmpf
 
-from .cyclo import CycloNum, UndecidedSign, angle_exact, same_turn, shift, turns
-from .puiseux import PolarPart, galois_act, polar_add, polar_neg
+from .cyclo import CycloNum, UndecidedSign, angle_exact, shift, turns
+from .puiseux import PolarPart, polar_add, polar_neg
 from .radicals import RadicalCoeff, cembed, is_positive_monomial
-
-
-class StokesError(Exception):
-    pass
-
-
-class BoundaryDirection(StokesError):
-    pass
-
-
-class IndexNotClosed(StokesError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -121,123 +110,3 @@ def boundary_directions(psi: PolarPart, phi: PolarPart, p: int | None = None):
     if all(isinstance(x, Fraction) for x in out):
         out.sort()
     return tuple(out)
-
-
-def strictly_less(psi: PolarPart, phi: PolarPart, theta: Fraction, p: int | None = None) -> bool:
-    """psi <_theta phi at an exact direction theta (turns on the cover)."""
-    p = p or math.lcm(psi.ram, phi.ram)
-    lead = _leading_difference(psi, phi, p)
-    if lead is None:
-        return False
-    q, a = lead
-    u = _mod1(shift(_coeff_angle(a), -q * Fraction(theta)))
-    if isinstance(u, Fraction):
-        if u == Fraction(1, 4) or u == Fraction(3, 4):
-            raise BoundaryDirection(f"theta = {theta} is a Stokes direction")
-        return Fraction(1, 4) < u < Fraction(3, 4)
-    # interval comparisons: True or False when decided, None when not;
-    # the quarter points are dyadic, so the floats are exact
-    above, below = u > 0.25, u < 0.75
-    if above is None or below is None:
-        raise UndecidedSign("direction too close to a Stokes boundary to certify")
-    return above and below
-
-
-@dataclass(frozen=True)
-class GradedStokes:
-    """Dimension function of a graded local system: (polar part, rank of
-    the phi-graded piece) pairs; zero-dimension padding entries allowed."""
-
-    dims: tuple[tuple[PolarPart, int], ...]
-
-    @staticmethod
-    def make(pairs) -> "GradedStokes":
-        clean = []
-        for phi, d in pairs:
-            d = int(d)
-            assert d >= 0
-            if any(phi == q for q, _ in clean):
-                raise StokesError(f"duplicate index {phi!r}")
-            clean.append((phi, d))
-        g = GradedStokes(tuple(clean))
-        if g.total() < 1:
-            raise StokesError("total dimension must be positive")
-        return g
-
-    def total(self) -> int:
-        return sum(d for _, d in self.dims)
-
-    def dim(self, phi: PolarPart) -> int:
-        for q, d in self.dims:
-            if q == phi:
-                return d
-        raise IndexNotClosed(f"{phi!r} not in the index set")
-
-    def cover(self) -> int:
-        return math.lcm(*(q.ram for q, _ in self.dims))
-
-
-def filtration_dims(G: GradedStokes, theta: Fraction):
-    """[(phi, (dim L_{<=phi,theta}, dim L_{<phi,theta}))] at an exact
-    non-boundary direction."""
-    p = G.cover()
-    theta = Fraction(theta)
-    out = []
-    for phi, d in G.dims:
-        lt = 0
-        for psi, dpsi in G.dims:
-            if psi == phi:
-                continue
-            if strictly_less(psi, phi, theta, p):
-                lt += dpsi
-        out.append((phi, (lt + d, lt)))
-    return out
-
-
-def _arcs_agree(a, b) -> bool:
-    if a is FULL_CIRCLE or b is FULL_CIRCLE:
-        return a is FULL_CIRCLE and b is FULL_CIRCLE
-    if len(a) != len(b):
-        return False
-    used = [False] * len(b)
-    for arc in a:
-        for i, other in enumerate(b):
-            if not used[i] and same_turn(arc.start, other.start) and same_turn(arc.end, other.end):
-                used[i] = True
-                break
-        else:
-            return False
-    return True
-
-
-def check_galois_equivariance(G: GradedStokes, m: int) -> bool:
-    """Whether dims and order arcs are equivariant under z -> nu z with
-    nu = zeta_p^m on the cover."""
-    p = G.cover()
-    m = m % p
-
-    def act(phi: PolarPart) -> PolarPart:
-        return galois_act(phi, m % phi.ram) if not phi.is_zero() else phi
-
-    images = []
-    for phi, d in G.dims:
-        sigma = act(phi)
-        if not any(sigma == q for q, _ in G.dims):
-            raise IndexNotClosed(f"orbit leaves the index set at {phi!r}")
-        images.append((phi, sigma, d))
-    for _, sigma, d in images:
-        if G.dim(sigma) != d:
-            return False
-    delta = Fraction(-m, p)
-    for phi, sphi, _ in images:
-        for psi, spsi, _ in images:
-            le1, strict1 = order_arcs(psi, phi, p)
-            le2, strict2 = order_arcs(spsi, sphi, p)
-            rotated = (
-                FULL_CIRCLE
-                if le1 is FULL_CIRCLE
-                else tuple(_rotate_arc(arc, delta) for arc in strict1)
-            )
-            if not _arcs_agree(le2, rotated):
-                return False
-    return True

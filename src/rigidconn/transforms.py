@@ -295,7 +295,8 @@ def fourier_global(P: Problem) -> Problem:
     rp = sum(f.rank() for f in inf_factors)
     if rp == 0:
         raise RankZeroOutput("transform of a successive extension of exponentials")
-    assert rp == fourier_rank_prediction(P), "leg ranks disagree with the rank formula"
+    if rp != fourier_rank_prediction(P):
+        raise InvariantViolation("leg ranks disagree with the rank formula")
 
     new_points: list[tuple[Location, FormalType]] = [(INF, FormalType.make(inf_factors))]
     groups: dict[Location, list[ExpFactor]] = {}

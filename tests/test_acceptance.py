@@ -3,13 +3,14 @@ criterion, exact equality everywhere, wall-clock budgets enforced."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from rigidconn.adk import Certificate, ReplayMismatch, Step, replay_certificate, run_adk
+from rigidconn.adk import Certificate, Mc, ReplayMismatch, replay_certificate, run_adk
 from rigidconn.cyclo import CycloNum
 from rigidconn.enumerate import count_rigid, enumerate_candidates
 from rigidconn.formal import (
@@ -274,7 +275,7 @@ def test_criterion_10_certificate_replay():
     # corrupted certificate: altered convolution parameter must be caught
     cert = run_adk(hypergeometric())
     bad_steps = tuple(
-        Step("mc", s.data + F(1, 5), s.predicted_rank) if s.kind == "mc" else s
+        dataclasses.replace(s, chi_exponent=s.chi_exponent + F(1, 5)) if isinstance(s, Mc) else s
         for s in cert.steps
     )
     assert bad_steps != cert.steps

@@ -398,6 +398,26 @@ def test_parse_error_names_the_certificate_field(cert, path, value, where, tmp_p
     assert err == f"error: {where}\n"
 
 
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ({"kind": "shear", "predicted_rank": 1}, "unknown step kind 'shear'"),
+        ({"kind": ["mc"], "predicted_rank": 1}, "unknown step kind ['mc']"),
+        ({"kind": "fourier", "predicted_rank": 0}, "predicted_rank must be a positive integer"),
+        ({"kind": "fourier", "chi_exponent": "1/2", "predicted_rank": 1}, "unknown fields ['chi_exponent'] in fourier step"),
+        ({"kind": "moebius", "coeffs": ["1", "0", "1"], "predicted_rank": 1}, "moebius step needs 4 coefficients"),
+    ],
+)
+def test_malformed_step_exits_2(step, message, tmp_path):
+    d = json.loads((GOLDEN / "cert_hyper.json").read_text(encoding="utf-8"))
+    d["steps"].insert(0, step)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d), encoding="utf-8")
+    code, out, err = run(["replay", str(bad)])
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_parse_error_names_the_twist_step_field():
     points = [{"loc": "0", "phi": "0", "shift": "1/2"}, {"loc": "inf", "phi": "t^(-1", "shift": "0"}]
     twist = {"kind": "twist", "points": points, "predicted_rank": 1}

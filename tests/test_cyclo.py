@@ -14,7 +14,6 @@ from rigidconn.cyclo import (
     CycloNum,
     NotCoprime,
     angle_exact,
-    certified_re_sign,
     cyclotomic_coeffs,
     embed,
     galois_apply,
@@ -155,14 +154,6 @@ def test_angle_exact_rational_turns():
     assert angle_exact(CycloNum.from_rational(F(2, 7)) * z12) == F(1, 12)
 
 
-def test_certified_re_sign():
-    z5 = CycloNum.zeta(5)
-    assert certified_re_sign(z5 + z5**4) == 1  # 2 cos 72 degrees > 0
-    z3 = CycloNum.zeta(3)
-    assert certified_re_sign(z3 + z3**2) == -1  # equals -1
-    assert certified_re_sign(CycloNum.zeta(4)) == 0  # purely imaginary
-
-
 def test_embed_ball():
     # strict containment, decided by interval comparisons: each holds
     # only when true for every point of the interval
@@ -259,8 +250,6 @@ def test_certified_numbers_contain_the_1000_bit_values(a, b, n):
     if b is None:
         assert encloses(embed(x), ref)
         assert angle_holds(angle_exact(x), ref_turns(ref))
-        with mpmath.workprec(REF_BITS):
-            assert certified_re_sign(x) == mpmath.sign(mpmath.chop(mpmath.re(ref), 2**-900))
     # psi = 0 against phi = x t^(-2): the leading difference is -x, q = 2,
     # and the arcs run from (alpha - 3/4 - k)/2 to (alpha - 1/4 - k)/2,
     # k = 0, 1, in an order that depends on the representative of alpha

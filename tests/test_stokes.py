@@ -1,31 +1,30 @@
-"""Order arcs, filtration dimensions, Galois equivariance."""
+"""Order arcs, boundary directions, Galois equivariance."""
 
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from rigidconn.cyclo import CycloNum
+from rigidconn.cyclo import CycloNum, same_turn, shift
 from rigidconn.puiseux import PolarPart, galois_act
 from rigidconn.radicals import croot
-from rigidconn.stokes import (
-    FULL_CIRCLE,
-    Arc,
-    BoundaryDirection,
-    GradedStokes,
-    IndexNotClosed,
-    StokesError,
-    boundary_directions,
-    check_galois_equivariance,
-    filtration_dims,
-    order_arcs,
-    strictly_less,
-)
+from rigidconn.stokes import FULL_CIRCLE, Arc, _rotate_arc, boundary_directions, order_arcs
 
 from helpers import REF_BITS, ref_turns, ref_value
 
 F = Fraction
 ZERO = PolarPart.zero()
+
+
+def _inside(theta, arcs) -> bool:
+    """Whether the direction theta in [0, 1) lies on one of the open arcs
+    with exact endpoints, each counterclockwise from start to end."""
+    return any(a.start < theta < a.end if a.start < a.end else not a.end <= theta <= a.start for a in arcs)
+
+
+def _act(phi: PolarPart, m: int) -> PolarPart:
+    """z -> zeta_p^m z on a p-fold cover, acting on a part of ramification dividing p."""
+    return galois_act(phi, m % phi.ram)
 
 
 def test_basic_arc():
@@ -49,54 +48,32 @@ def test_boundary_count():
         assert bd == tuple(sorted(bd))
 
 
-def test_strictly_less_and_boundary_error():
-    phi = PolarPart.unramified({1: 1})
-    assert strictly_less(ZERO, phi, F(0))
-    assert not strictly_less(phi, ZERO, F(0))
-    with pytest.raises(BoundaryDirection):
-        strictly_less(ZERO, phi, F(1, 4))
-
-
 def test_trichotomy_off_boundaries():
+    # off the boundary directions exactly one of psi < phi, phi < psi holds
     phi = PolarPart.unramified({2: -5})
     bd = set(boundary_directions(ZERO, phi))
+    _, below = order_arcs(ZERO, phi)
+    _, above = order_arcs(phi, ZERO)
     for k in range(40):
         theta = F(k, 40)
         if theta in bd:
-            continue
-        assert strictly_less(ZERO, phi, theta) != strictly_less(phi, ZERO, theta)
-
-
-def test_filtration_dims():
-    G = GradedStokes.make([(ZERO, 1), (PolarPart.unramified({1: 1}), 1)])
-    out = dict(filtration_dims(G, F(0)))
-    assert out[PolarPart.unramified({1: 1})] == (2, 1)
-    assert out[ZERO] == (1, 0)
-
-
-def test_filtration_single_element():
-    G = GradedStokes.make([(PolarPart.unramified({1: 1}), 3)])
-    assert filtration_dims(G, F(0)) == [(PolarPart.unramified({1: 1}), (3, 0))]
-
-
-def test_graded_stokes_validation():
-    with pytest.raises(StokesError):
-        GradedStokes.make([(ZERO, 0)])  # total dimension must be positive
-    with pytest.raises(StokesError):
-        GradedStokes.make([(ZERO, 1), (ZERO, 2)])  # duplicate index
+            assert not _inside(theta, below) and not _inside(theta, above)
+        else:
+            assert _inside(theta, below) != _inside(theta, above)
 
 
 def test_galois_equivariance():
-    phi = PolarPart.unramified({1: 1})
-    sigma = PolarPart.unramified({1: -1})
-    G = GradedStokes.make([(phi, 1), (sigma, 1), (ZERO, 1)])
-    assert check_galois_equivariance(G, 0)
-    assert check_galois_equivariance(G, 1)  # m is reduced mod cover = 1
+    # z -> nu z with nu = zeta_2^m rotates the arcs of every pair by -m/2;
+    # the rotation may list the arcs in another order
     ram = PolarPart.make(2, [(1, 1)])
-    G2 = GradedStokes.make([(ram, 2), (galois_act(ram, 1), 2)])
-    assert check_galois_equivariance(G2, 1)
-    G3 = GradedStokes.make([(ram, 2), (galois_act(ram, 1), 1)])
-    assert not check_galois_equivariance(G3, 1)
+    parts = [ram, galois_act(ram, 1), ZERO, PolarPart.unramified({1: 1})]
+    for m in (0, 1):
+        for psi in parts:
+            for phi in parts:
+                le1, strict1 = order_arcs(psi, phi, 2)
+                le2, strict2 = order_arcs(_act(psi, m), _act(phi, m), 2)
+                assert (le1 is FULL_CIRCLE) == (le2 is FULL_CIRCLE) == (psi == phi)
+                assert set(strict2) == {_rotate_arc(arc, F(-m, 2)) for arc in strict1}
 
 
 def test_galois_equivariance_with_interval_endpoints():
@@ -105,17 +82,13 @@ def test_galois_equivariance_with_interval_endpoints():
     c = CycloNum.from_rational(2) + CycloNum.zeta(5)
     for coeff in (c, croot(c, 3)):
         ram = PolarPart.make(2, [(1, coeff)])
-        G = GradedStokes.make([(ram, 1), (galois_act(ram, 1), 1), (ZERO, 1)])
-        assert not isinstance(order_arcs(ram, ZERO)[1][0].start, Fraction)
-        assert check_galois_equivariance(G, 1)
-        assert not check_galois_equivariance(GradedStokes.make([(ram, 2), (galois_act(ram, 1), 1)]), 1)
-
-
-def test_galois_index_not_closed():
-    ram = PolarPart.make(2, [(1, 1)])
-    G = GradedStokes.make([(ram, 1)])
-    with pytest.raises(IndexNotClosed):
-        check_galois_equivariance(G, 1)
+        for psi, phi in ((ram, ZERO), (ZERO, ram), (ram, galois_act(ram, 1))):
+            (arc,) = order_arcs(psi, phi, 2)[1]
+            (image,) = order_arcs(_act(psi, 1), _act(phi, 1), 2)[1]
+            assert not isinstance(arc.start, Fraction)
+            rotated = _rotate_arc(arc, F(-1, 2))
+            assert same_turn(image.start, rotated.start) and same_turn(image.end, rotated.end)
+            assert not same_turn(image.start, arc.start)
 
 
 def test_ball_endpoints_for_irrational_angle():
@@ -138,21 +111,29 @@ def test_radical_monomial_over_positive_rationals_has_exact_arcs():
 
 
 @pytest.mark.parametrize("q", [1, 2])
-def test_strictly_less_decides_1e20_off_an_irrational_boundary(q):
+def test_order_arcs_locate_an_irrational_boundary_within_1e20(q):
     # psi = 0, phi = c t^(-q): the leading difference -c has an
     # irrational angle alpha, and psi <_theta phi iff cos 2 pi (alpha -
-    # q theta) < 0, which flips where alpha - q theta = 1/4 or 3/4 mod 1
+    # q theta) < 0, which flips where alpha - q theta = 1/4 or 3/4 mod 1;
+    # one certified arc endpoint lies between directions 1e-20 either side
     c = CycloNum.from_rational(2) + CycloNum.zeta(5)
     phi = PolarPart.unramified({q: c})
+    ends = [x for arc in order_arcs(ZERO, phi)[1] for x in (arc.start, arc.end)]
+    assert len(ends) == 2 * q
     with mpmath.workprec(REF_BITS):
         alpha = ref_turns(-ref_value(c))
         for quarter in (F(1, 4), F(3, 4)):
             boundary = (alpha - mpmath.mpf(quarter.numerator) / quarter.denominator) / q
             near = F(int(mpmath.nint(boundary * 10**40)), 10**40)
-            got = []
+            signs = []
             for theta in (near - F(1, 10**20), near + F(1, 10**20)):
                 cos = mpmath.cospi(2 * (alpha - q * mpmath.mpf(theta.numerator) / theta.denominator))
                 assert 1e-21 < abs(cos) < 1e-18
-                got.append(strictly_less(ZERO, phi, theta))
-                assert got[-1] == (cos < 0)
-            assert got[0] != got[1]
+                signs.append(cos < 0)
+            assert signs[0] != signs[1]
+            between = []
+            for x in ends:
+                d = shift(x, -near)
+                d = d - int(mpmath.nint(d.mid))
+                between.append(-1e-20 < d.a and d.b < 1e-20)
+            assert between.count(True) == 1
