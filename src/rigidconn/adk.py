@@ -28,10 +28,14 @@ from .formal import (
 from .puiseux import (
     Lser,
     PolarPart,
+    PuiseuxError,
+    binomial_pow,
     cinv,
     croot,
     polar_neg,
+    polar_terms,
     solve_series,
+    substitute,
     unramified_head,
 )
 from .rigidity import rig_index
@@ -88,20 +92,6 @@ class Stuck:
 # -- Moebius transport -----------------------------------------------
 
 
-def _binom_pow(h: Lser, e: Fraction, order: int) -> Lser:
-    """(1 + h)^e for h of positive valuation, to the given order."""
-    acc = Lser.const(CycloNum.one(), order)
-    term = Lser.const(CycloNum.one(), order)
-    k = 0
-    while True:
-        k += 1
-        term = (term * h).scale(Fraction(e - k + 1, k))
-        if term.is_zero() or term.valuation() >= order:
-            break
-        acc = acc + term
-    return acc
-
-
 def moebius_coeffs(s_inf: Location, s0: Location, s1: Location | None):
     """(a, b, c, d) for the map sending s_inf to infinity, s0 to 0, and
     (when given) s1 to 1."""
@@ -155,14 +145,10 @@ def _transport_polar(phi: PolarPart, src: Location, dst: Location, a, b, c, d) -
         raise InvariantViolation("Moebius image coordinate must vanish to order p")
     u0 = w.terms[p]
     rest = w.shift(-p).scale(cinv(u0)) - Lser.const(CycloNum.one(), big)
-    zprime = (_binom_pow(rest, Fraction(1, p), order).scale(croot(u0, p))).shift(1)
+    zprime = (binomial_pow(rest, Fraction(1, p), order).scale(croot(u0, p))).shift(1)
     zser = solve_series(Lser(zprime.terms, order + 1), 1, order)
-    out = Lser({}, big)
-    for j, coeff in phi.terms:
-        out = out + zser.pow(-j).scale(coeff)
-    if out.trunc < 1:
-        raise InvariantViolation("Moebius transport under-resolved")
-    return PolarPart.make(p, {-k: cc for k, cc in out.terms.items() if k < 0})
+    out = substitute(Lser({-j: coeff for j, coeff in phi.terms}, big), zser, big)
+    return PolarPart.make(p, polar_terms(out))
 
 
 # -- step records ----------------------------------------------------
@@ -450,7 +436,7 @@ def replay_certificate(C: Certificate) -> Problem:
             )
         try:
             cur = step.undo(cur)
-        except (TransformsError, AssertionError) as e:
+        except (TransformsError, PuiseuxError, AssertionError) as e:
             raise ReplayMismatch(f"step {i} ({step.kind}) failed to invert: {e}") from e
     diff = _problem_diff(cur, C.origin)
     if diff is not None:

@@ -30,7 +30,7 @@ from .adk import (
     run_adk,
 )
 from .cyclo import CycloNum, UndecidedSign, _join_terms, format_cyclo
-from .enumerate import classify_candidate, enumerate_candidates
+from .enumerate import EnumerationError, classify_candidate, enumerate_candidates
 from .formal import (
     INF,
     FormalError,
@@ -39,7 +39,7 @@ from .formal import (
     Problem,
     RegularPart,
 )
-from .puiseux import PolarPart
+from .puiseux import PolarPart, PuiseuxError
 from .radicals import TOWER, RadicalCoeff, RadicalError, cadd, cmul, cneg, cpow, croot
 from .rigidity import rig_index
 from .stokes import FULL_CIRCLE, order_arcs
@@ -434,6 +434,8 @@ def _moebius_coeffs(d: dict) -> tuple:
     coeffs = _each(lambda c: parse_coeff(_typed(c, str, "a coefficient")), d.get("coeffs"), "coeffs")
     if len(coeffs) != 4:
         raise SemanticError("moebius step needs 4 coefficients")
+    if not all(isinstance(c, CycloNum) for c in coeffs):
+        raise SemanticError("moebius coefficients must be cyclotomic")
     return tuple(coeffs)
 
 
@@ -515,6 +517,8 @@ INPUT_ERRORS = (
     TransformsError,
     ReplayMismatch,
     RadicalError,
+    PuiseuxError,
+    EnumerationError,
     OSError,
 )
 

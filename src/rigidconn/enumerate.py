@@ -27,6 +27,10 @@ from .puiseux import PolarPart, canonical_rep
 from .rigidity import rig_index
 
 
+class EnumerationError(Exception):
+    pass
+
+
 def _partitions(s: int, mx: int | None = None):
     """Partitions of s, decreasing lexicographic order."""
     if mx is None:
@@ -96,7 +100,8 @@ def enumerate_candidates(locations, phi_pool, N: int, r: int):
     """Stream of problems over the given locations; total rank r at every
     point, factors from the pool (modulo Galois relabeling), exponents in
     (1/N)Z, integral global exponent sum."""
-    assert r >= 1 and N >= 1
+    if r < 1 or N < 1:
+        raise EnumerationError(f"enumeration needs rank >= 1 and order >= 1, got rank {r}, order {N}")
     locs = [Location.of(l) for l in locations]
     reps = _canonical_pool(phi_pool)
     order = math.lcm(N, *(q.ram for q in reps))

@@ -5,10 +5,14 @@ formal solution; the zero polar part (p = 1, no terms) stands for
 regular factors.  Normal form divides out common factors of p and the
 exponent numerators, so stored parts are minimal or zero.
 
-Truncated Laurent series (Lser) and solve_series carry the
-stationary-phase legs of the Fourier transform: solve_series inverts a
+Truncated Laurent series (Lser) carry the stationary-phase legs of the
+Fourier transform and the Moebius transport, and only this module
+evaluates, inverts and reads them: substitute evaluates S(u),
+binomial_pow gives (1 + h)^e (behind Lser.inverse and the Moebius p-th
+root), polar_terms reads off a polar part, and solve_series inverts a
 series by Newton iteration, doubling the number of certified terms per
-round, and checks the result by back-substitution.
+round, and checks the result by back-substitution.  A failed check
+raises SeriesNotCertified.
 """
 
 from __future__ import annotations
@@ -47,6 +51,10 @@ class NotMinimal(PuiseuxError):
 
 class OutOfRange(PuiseuxError):
     pass
+
+
+class SeriesNotCertified(PuiseuxError):
+    """A truncated-series result failed its own check."""
 
 
 def _norm_coeff(c):
@@ -263,41 +271,24 @@ class Lser:
     def inverse(self) -> "Lser":
         """Multiplicative inverse; leading coefficient must be
         invertible (cyclotomic or single radical monomial)."""
-        v = self.valuation()
         if self.is_zero():
             raise NonInvertibleLeadingTerm("inverse of zero series")
-        lead = self.terms[v]
-        rest = Lser({k - v: c for k, c in self.terms.items() if k != v}, self.trunc - v)
-        r = rest.scale(cinv(lead))  # series with positive valuation
-        order = self.trunc - v
-        # 1/(1+r) = sum (-r)^k
-        acc = Lser.const(CycloNum.one(), order)
-        term = Lser.const(CycloNum.one(), order)
-        neg_r = -r
-        vr = max(1, neg_r.valuation())
-        for _ in range(0, order // vr + 1):
-            term = term * neg_r
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc.scale(cinv(lead)).shift(-v)
+        v = self.valuation()
+        inv_lead = cinv(self.terms[v])
+        rest = Lser({k - v: cmul(c, inv_lead) for k, c in self.terms.items() if k != v}, self.trunc - v)
+        return binomial_pow(rest, -1, self.trunc - v).scale(inv_lead).shift(-v)
 
     def pow(self, k: int) -> "Lser":
-        if k < 0:
-            return self.inverse().pow(-k)
-        result = Lser.const(CycloNum.one(), self.trunc - self.valuation() + abs(k) * self.valuation() + 1)
+        """self^k for k >= 0, by repeated squaring."""
+        result = None
         base = self
-        first = True
         while k:
             if k & 1:
-                result = base if first else result * base
-                first = False
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        if first:
-            return Lser.const(CycloNum.one(), self.trunc)
-        return result
+        return Lser.const(CycloNum.one(), self.trunc) if result is None else result
 
     def __eq__(self, other):
         t = min(self.trunc, other.trunc)
@@ -313,40 +304,65 @@ class Lser:
         return f"Lser[{body or '0'}; O(w^{self.trunc})]"
 
 
+def binomial_pow(h: Lser, e, order: int) -> Lser:
+    """(1 + h)^e for h of positive valuation, to w^order."""
+    acc = term = Lser.const(CycloNum.one(), order)
+    k = 0
+    while True:
+        k += 1
+        term = (term * h).scale(Fraction(e - k + 1, k))
+        if term.is_zero() or term.valuation() >= order:
+            return acc
+        acc = acc + term
+
+
+def substitute(S: Lser, u: Lser, trunc: int) -> Lser:
+    """S(u) = sum_k c_k u^k to w^trunc, for u of valuation 1.  u is
+    inverted at most once; each power of u (or of 1/u) is the previous
+    one times a power of the base."""
+    out = Lser({}, trunc)
+    if 0 in S.terms:
+        out = out + Lser.const(S.terms[0], u.trunc)
+    for sign in (1, -1):
+        ks = sorted(sign * k for k in S.terms if sign * k > 0)
+        if not ks:
+            continue
+        base = u if sign > 0 else u.inverse()
+        e, power = ks[0], base.pow(ks[0])
+        for k in ks:
+            if k > e:
+                e, power = k, power * base.pow(k - e)
+            out = out + power.scale(S.terms[sign * k])
+    return Lser(out.terms, min(out.trunc, trunc))
+
+
+def polar_terms(W: Lser) -> dict:
+    """{j: c} for the terms c w^(-j) of W; W must be certified through
+    w^0, or its polar part is not known."""
+    if W.trunc < 1:
+        raise SeriesNotCertified(f"series under-resolved: certified below w^{W.trunc} only")
+    return {-k: c for k, c in W.terms.items() if k < 0}
+
+
 def solve_series(S: Lser, m: int, order: int) -> Lser:
     """Solve S(u) = w^m for u = sum_{i>=1} b_i w^i by Newton iteration;
     S has leading term c_m u^m with m != 0.  Certified to w^order."""
-    v = S.valuation()
-    assert v == m and m != 0
+    if m == 0 or S.valuation() != m:
+        raise SeriesNotCertified(f"solve_series needs m != 0 and S of valuation m, got m = {m}")
     c_m = S.terms[m]
-    if m > 0:
-        alpha = croot(cinv(c_m), m)
-    else:
-        alpha = croot(c_m, -m)
-    trunc = order + abs(m) + 2
-    u = Lser({1: alpha}, 2)
+    u = Lser({1: croot(cinv(c_m), m) if m > 0 else croot(c_m, -m)}, 2)
     target_known = 1
     Sd = Lser({k - 1: cmul(c, Fraction(k)) for k, c in S.terms.items()}, S.trunc - 1)
     while target_known < order:
         target_known = min(2 * target_known, order)
         u = Lser(u.terms, target_known + 1)
-        Su = _eval_laurent(S, u, target_known + m if m > 0 else target_known + m)
-        w_m = Lser.monomial(m, CycloNum.one(), Su.trunc)
-        F = Su - w_m
+        Su = substitute(S, u, target_known + m)
+        F = Su - Lser.monomial(m, CycloNum.one(), Su.trunc)
         if F.is_zero():
-            u = Lser(u.terms, target_known + 1)
             continue
-        Sdu = _eval_laurent(Sd, u, F.trunc - 1)
+        Sdu = substitute(Sd, u, F.trunc - 1)
         u = Lser((u - F * Sdu.inverse()).terms, target_known + 1)
     # certification: back-substitute
-    check = _eval_laurent(S, u, order + m)
-    assert check == Lser.monomial(m, CycloNum.one(), order + m), "series inversion failed back-substitution"
+    if substitute(S, u, order + m) != Lser.monomial(m, CycloNum.one(), order + m):
+        raise SeriesNotCertified("series inversion failed back-substitution")
     return u
-
-
-def _eval_laurent(S: Lser, u: Lser, trunc: int) -> Lser:
-    """Evaluate Laurent polynomial S at u (valuation 1 unit series)."""
-    out = Lser({}, trunc)
-    for k, c in S.terms.items():
-        out = out + u.pow(k).scale(c)
-    return Lser(out.terms, min(out.trunc, trunc))

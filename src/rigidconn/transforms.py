@@ -44,7 +44,7 @@ from .linalg import (
     mat_sub,
     quotient_action,
 )
-from .puiseux import Lser, PolarPart, ceq, cmul, slope, solve_series
+from .puiseux import Lser, PolarPart, SeriesNotCertified, ceq, cmul, polar_add, polar_terms, slope, solve_series, substitute
 from .rigidity import rig_index
 
 
@@ -128,12 +128,9 @@ def _critical_value_polar(phi_terms, p: int, tail_exp: int, m: int, order: int) 
     where u solves s(u) = w^m for the given leg's s."""
     S = Lser({k: c for k, c in _s_terms(phi_terms, p, tail_exp)}, _BIG)
     u = solve_series(S, m, order)
-    W = Lser({}, _BIG)
-    for j, a in phi_terms:
-        W = W + u.pow(-j).scale(a)
-    W = W - u.pow(tail_exp) * Lser.monomial(m, CycloNum.one(), _BIG)
-    assert W.trunc >= 1, "stationary-phase series under-resolved"
-    return {-k: c for k, c in W.terms.items() if k < 0}
+    phi = Lser({-j: a for j, a in phi_terms}, _BIG)
+    tail = Lser.monomial(tail_exp, CycloNum.one(), _BIG)
+    return polar_terms(substitute(phi, u, _BIG) - substitute(tail, u, _BIG).shift(m))
 
 
 def _s_terms(phi_terms, p: int, tail_exp: int):
@@ -147,11 +144,9 @@ def _audited_polar(phi_terms, p, tail_exp, m, out_ram, order) -> PolarPart:
     """Run the inversion at two truncations; the polar parts must agree."""
     d1 = _critical_value_polar(phi_terms, p, tail_exp, m, order)
     d2 = _critical_value_polar(phi_terms, p, tail_exp, m, 2 * order)
-    keys = set(d1) | set(d2)
     zero = CycloNum.zero()
-    assert all(ceq(d1.get(k, zero), d2.get(k, zero)) for k in keys), (
-        "truncation audit failed in stationary phase"
-    )
+    if not all(ceq(d1.get(k, zero), d2.get(k, zero)) for k in set(d1) | set(d2)):
+        raise SeriesNotCertified("truncation audit failed in stationary phase")
     return PolarPart.make(out_ram, d2)
 
 
@@ -164,9 +159,8 @@ def finite_to_inf(x: CycloNum, f: ExpFactor) -> ExpFactor:
     p = phi.ram
     q = phi.terms[0][0]
     polar = _audited_polar(list(phi.terms), p, p, -(p + q), p + q, p + q + 2)
-    # the -x*t part of the exponent: -x*tau, i.e. numerator p+q at ram p+q
-    polar = _polar_with_head(polar, p + q, -x)
-    return ExpFactor(polar, f.reg)
+    # the -x*t part of the exponent: -x*tau
+    return ExpFactor(polar_add(polar, PolarPart.make(1, [(1, -x)])), f.reg)
 
 
 def inf_to_inf(f: ExpFactor) -> ExpFactor:
@@ -196,19 +190,6 @@ def inf_to_finite(f: ExpFactor) -> tuple[CycloNum, ExpFactor]:
     qt = max(j for j, _ in tail)
     polar = _audited_polar(tail, p, -p, p - qt, p - qt, p + qt + 2)
     return c, ExpFactor(polar, f.reg)
-
-
-def _polar_with_head(polar: PolarPart, ram: int, c) -> PolarPart:
-    """Add c * t (numerator = ram at level ram) to a polar part given at
-    exactly that ramification level."""
-    from .radicals import cis_zero
-
-    if cis_zero(c):
-        return polar
-    assert ram % polar.ram == 0
-    s = ram // polar.ram
-    terms = [(j * s, a) for j, a in polar.terms] + [(ram, c)]
-    return PolarPart.make(ram, terms)
 
 
 # -- vanishing cycles and reconstruction -----------------------------

@@ -365,7 +365,12 @@ def ref_value(x):
                 for mono, c in x.terms
             )
         z = mpmath.exp(2j * mpmath.pi / x.level)
-        return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * z**i for i, c in enumerate(x.coeffs))
+        total, zi = mpmath.mpc(0), mpmath.mpc(1)
+        for n in x.nums:  # (sum of nums[i] z^i) / den
+            if n:
+                total += n * zi
+            zi *= z
+        return total / x.den
 
 
 def ref_turns(z):

@@ -264,6 +264,17 @@ def test_cmd_fourier(files):
     parse_problem(out)  # output is a valid problem file
 
 
+def test_cmd_fourier_failed_series_check_exits_2(files, monkeypatch):
+    from rigidconn import transforms
+
+    polar = transforms._critical_value_polar
+    # the audit's two truncations now disagree in a pole of order `order`
+    monkeypatch.setattr(transforms, "_critical_value_polar", lambda *a: {**polar(*a), a[-1]: CycloNum.one()})
+    code, out, err = run(["fourier", files["kloos"]])
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: truncation audit failed in stationary phase\n"
+
+
 def test_cmd_mc(files):
     from rigidconn.transforms import mc_rank_prediction
 
@@ -292,6 +303,15 @@ def test_cmd_enumerate(tmp_path):
     lines = [json.loads(l) for l in out.splitlines() if l.strip()]
     assert len(lines) == 4
     assert all(l["verdict"] == "certified" for l in lines)
+
+
+@pytest.mark.parametrize("order, rank", [(1, 0), (0, 1)])
+def test_cmd_enumerate_rejects_nonpositive_bounds(order, rank):
+    # CI also runs this file under python -O, where order 0 used to reach
+    # the partition code
+    code, out, err = run(["enumerate", "--points", "0,1,inf", "--order", str(order), "--rank", str(rank)])
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: enumeration needs rank >= 1 and order >= 1, got rank {rank}, order {order}\n"
 
 
 def test_cmd_stokes_arcs(files):
@@ -406,6 +426,10 @@ def test_parse_error_names_the_certificate_field(cert, path, value, where, tmp_p
         ({"kind": "fourier", "predicted_rank": 0}, "predicted_rank must be a positive integer"),
         ({"kind": "fourier", "chi_exponent": "1/2", "predicted_rank": 1}, "unknown fields ['chi_exponent'] in fourier step"),
         ({"kind": "moebius", "coeffs": ["1", "0", "1"], "predicted_rank": 1}, "moebius step needs 4 coefficients"),
+        (
+            {"kind": "moebius", "coeffs": ["rt(2,2)", "1/2", "-z(3)", "2"], "predicted_rank": 2},
+            "moebius coefficients must be cyclotomic",
+        ),
     ],
 )
 def test_malformed_step_exits_2(step, message, tmp_path):

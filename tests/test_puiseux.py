@@ -8,14 +8,18 @@ from rigidconn.cyclo import CycloNum
 from rigidconn.puiseux import (
     Lser,
     PolarPart,
+    SeriesNotCertified,
     _raw_ramify,
+    binomial_pow,
     canonical_rep,
     galois_act,
     orbit,
     polar_add,
     polar_neg,
+    polar_terms,
     slope,
     solve_series,
+    substitute,
 )
 
 F = Fraction
@@ -107,3 +111,38 @@ def test_solve_series_identity():
     u = solve_series(Lser({1: ONE}, 40), 1, 6)
     assert u == Lser({1: ONE}, 7)
     assert u.terms[1] == ONE
+
+
+def test_binomial_pow_square_root_squares_back():
+    h = Lser({1: c(3), 2: c(-1)}, 10)  # 1 + h = 1 + 3w - w^2
+    root = binomial_pow(h, F(1, 2), 10)
+    assert root * root == Lser.const(ONE, 10) + h
+    assert root.trunc == 10
+
+
+def test_substitute_matches_term_by_term_powers():
+    # S(u) for u = w + 2 w^2 with terms on both sides of w^0
+    u = Lser({1: ONE, 2: c(2)}, 12)
+    S = Lser({-3: c(2), -1: c(-1), 0: c(5), 2: c(7)}, 40)
+    ui = u.inverse()
+    want = ui.pow(3).scale(c(2)) + ui.scale(c(-1)) + Lser.const(c(5), 12) + u.pow(2).scale(c(7))
+    got = substitute(S, u, 8)
+    assert got.trunc == min(want.trunc, 8)
+    assert got == want
+
+
+def test_polar_terms_of_a_resolved_series():
+    W = Lser({-2: c(3), -1: c(-1), 0: c(4), 3: ONE}, 5)
+    assert polar_terms(W) == {2: c(3), 1: c(-1)}
+
+
+def test_under_resolved_series_is_rejected():
+    # certified only below w^0: the w^-1 coefficient is not known yet
+    with pytest.raises(SeriesNotCertified, match="under-resolved"):
+        polar_terms(Lser({-2: c(3)}, 0))
+
+
+@pytest.mark.parametrize("S, m", [(Lser({2: ONE}, 40), 1), (Lser({1: ONE}, 40), 0)])
+def test_solve_series_checks_its_leading_term(S, m):
+    with pytest.raises(SeriesNotCertified):
+        solve_series(S, m, 6)

@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import mpmath
+import pytest
 
 from rigidconn.cyclo import CycloNum
+from rigidconn.formal import INF, FormalType, Location, Problem, RegularPart
+from rigidconn.puiseux import PolarPart
 from rigidconn.radicals import (
     RadicalCoeff,
     cembed,
@@ -16,6 +19,7 @@ from rigidconn.radicals import (
     csort_key,
     rational_nth_root,
 )
+from rigidconn.rigidity import rig_index
 
 from helpers import REF_BITS, REF_TOL, encloses, ref_value
 
@@ -110,3 +114,35 @@ def test_radical_coeff_repr_roundtrip_identity():
     r = croot(c(6), 2)
     assert isinstance(r, RadicalCoeff)
     assert ceq(r, croot(c(6), 2))
+
+
+def _one_number_two_radicands():
+    """sqrt(1 + i) and (2i)^(1/4): both are 2^(1/4) zeta_16 on the
+    principal branch."""
+    return croot(c(1) + CycloNum.zeta(4), 2), croot(c(2) * CycloNum.zeta(4), 4)
+
+
+def test_one_number_under_two_radicands():
+    a, b = _one_number_two_radicands()
+    assert ceq(cpow(a, 4), cpow(b, 4)) and ceq(cpow(a, 4), c(2) * CycloNum.zeta(4))
+    assert encloses(cembed(a), ref_value(b)) and encloses(cembed(b), ref_value(a))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="radicands other than rationals have no canonical form, so equal "
+    "radicals compare unequal and split one factor in two (ROADMAP direction 5)",
+)
+def test_equal_radicals_compare_equal_and_give_one_rigidity_index():
+    a, b = _one_number_two_radicands()
+    zero = FormalType.regular(RegularPart.make([(F(0), 2)]))
+
+    def problem(factors):
+        return Problem.make(1, [(Location.of(0), zero), (INF, FormalType.make(factors))])
+
+    unit = RegularPart.make([(F(0), 1)])
+    split = problem([(PolarPart.unramified({1: a}), unit), (PolarPart.unramified({1: b}), unit)])
+    whole = problem([(PolarPart.unramified({1: a}), RegularPart.make([(F(0), 1), (F(0), 1)]))])
+    assert rig_index(whole) == 6
+    assert ceq(a, b)
+    assert rig_index(split) == rig_index(whole)

@@ -155,3 +155,37 @@ def test_mc_invariant_checks_survive_optimized_mode():
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False middle convolution rank formula violated\n"
     assert issubclass(InvariantViolation, TransformsError)
+
+
+def test_series_checks_survive_optimized_mode():
+    # under python -O the truncation audit of the stationary-phase legs
+    # must still fail, and replay must report it as a mismatch
+    script = textwrap.dedent(
+        """
+        from pathlib import Path
+        from rigidconn import adk, transforms
+        from rigidconn.cli import parse_certificate
+        from rigidconn.cyclo import CycloNum
+
+        polar = transforms._critical_value_polar
+        # the audit's two truncations now disagree in a pole of order `order`
+        transforms._critical_value_polar = lambda *a: {**polar(*a), a[-1]: CycloNum.one()}
+        cert = parse_certificate(Path(GOLDEN, "cert_kloos.json").read_text(encoding="utf-8"))
+        try:
+            adk.replay_certificate(cert)
+        except adk.ReplayMismatch as e:
+            print(__debug__, e)
+        """
+    )
+    src = str(Path(rigidconn.__file__).resolve().parents[1])
+    golden = str(Path(__file__).resolve().parent / "golden")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", f"GOLDEN = {golden!r}\n" + script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False step 1 (fourier) failed to invert: truncation audit failed in stationary phase\n"
