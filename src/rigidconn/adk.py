@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .cyclo import CycloNum
+from .errors import RigidconnError
 from .formal import (
     INF,
     FormalType,
@@ -28,7 +29,6 @@ from .formal import (
 from .puiseux import (
     Lser,
     PolarPart,
-    PuiseuxError,
     binomial_pow,
     cinv,
     croot,
@@ -42,7 +42,6 @@ from .rigidity import rig_index
 from .transforms import (
     InvariantViolation,
     RankOneData,
-    TransformsError,
     fourier_global,
     fourier_inverse,
     fourier_rank_prediction,
@@ -52,19 +51,11 @@ from .transforms import (
 )
 
 
-class AdkError(Exception):
+class TwoSpecialPoints(RigidconnError):
     pass
 
 
-class TwoSpecialPoints(AdkError):
-    pass
-
-
-class PreconditionRig(AdkError):
-    pass
-
-
-class ReplayMismatch(AdkError):
+class ReplayMismatch(RigidconnError):
     def __init__(self, diff: str):
         super().__init__(diff)
         self.diff = diff
@@ -316,8 +307,9 @@ def _unramified_heads(factors) -> list[PolarPart]:
 
 def reduce_step(P: Problem):
     """One compound rank-decreasing move, or Stuck."""
-    if rig_index(P) != 2:
-        raise PreconditionRig(f"rig_index = {rig_index(P)}")
+    rig = rig_index(P)
+    if rig != 2:
+        raise RigidconnError(f"rig_index = {rig}")
     r = P.rank()
     if r < 2:
         raise InvariantViolation(f"reduction step at rank {r}")
@@ -391,8 +383,9 @@ def _reduce_case_b(P: Problem, tinf: FormalType, r: int):
 
 
 def run_adk(P: Problem, max_steps: int = 64):
-    if rig_index(P) != 2:
-        return NotRigid(f"rig_index = {rig_index(P)}")
+    rig = rig_index(P)
+    if rig != 2:
+        return NotRigid(f"rig_index = {rig}")
     steps: list[StepRecord] = []
     cur = P
     r0 = P.rank()
@@ -400,8 +393,6 @@ def run_adk(P: Problem, max_steps: int = 64):
     while cur.rank() >= 2:
         if len(steps) >= max_steps:
             return Undecided(f"step budget {max_steps} exhausted at rank {cur.rank()}")
-        if rig_index(cur) != 2:
-            return NotRigid(f"rig_index = {rig_index(cur)} after {len(steps)} steps")
         try:
             cur, norm_steps = normalize_problem(cur)
         except TwoSpecialPoints as e:
@@ -427,7 +418,8 @@ def run_adk(P: Problem, max_steps: int = 64):
 
 def replay_certificate(C: Certificate) -> Problem:
     """Walk the certificate backwards with inverse steps; returns the
-    reconstructed original problem."""
+    reconstructed original problem.  Fails only with ReplayMismatch: a
+    step whose inverse raises a RigidconnError is reported as one."""
     cur = C.terminal
     for i, step in reversed(list(enumerate(C.steps))):
         if step.predicted_rank != cur.rank():
@@ -436,7 +428,7 @@ def replay_certificate(C: Certificate) -> Problem:
             )
         try:
             cur = step.undo(cur)
-        except (TransformsError, PuiseuxError, AssertionError) as e:
+        except RigidconnError as e:
             raise ReplayMismatch(f"step {i} ({step.kind}) failed to invert: {e}") from e
     diff = _problem_diff(cur, C.origin)
     if diff is not None:

@@ -24,13 +24,13 @@ from typing import get_args
 from .adk import (
     Certificate,
     NotRigid,
-    ReplayMismatch,
     StepRecord,
     replay_certificate,
     run_adk,
 )
 from .cyclo import CycloNum, UndecidedSign, _join_terms, format_cyclo
-from .enumerate import EnumerationError, classify_candidate, enumerate_candidates
+from .enumerate import classify_candidate, enumerate_candidates
+from .errors import RigidconnError
 from .formal import (
     INF,
     FormalError,
@@ -39,20 +39,19 @@ from .formal import (
     Problem,
     RegularPart,
 )
-from .puiseux import PolarPart, PuiseuxError
-from .radicals import TOWER, RadicalCoeff, RadicalError, cadd, cmul, cneg, cpow, croot
+from .puiseux import PolarPart
+from .radicals import TOWER, RadicalCoeff, _terms_of, cadd, cmul, cneg, cpow, croot
 from .rigidity import rig_index
 from .stokes import FULL_CIRCLE, order_arcs
 from .transforms import (
     RankOneData,
-    TransformsError,
     fourier_global,
     middle_convolution,
     twist_global,
 )
 
 
-class ParseError(Exception):
+class ParseError(RigidconnError):
     """Malformed text: position (1-based line and column) and message; the
     position is None where the JSON decoder gives none.  In a document,
     where names the field that holds the text, as in points[0].loc."""
@@ -70,7 +69,7 @@ class ParseError(Exception):
         return ParseError(self.line, self.column, self.message, f"{field}.{self.where}" if self.where else field)
 
 
-class SemanticError(Exception):
+class SemanticError(RigidconnError):
     pass
 
 
@@ -87,6 +86,15 @@ class SemanticError(Exception):
 #
 # A polar part is a sum in polar mode or "0"; exp, shift, chi_exponent
 # and --chi are rationals.  Whitespace may separate any two tokens.
+#
+# Resource caps, far above what the goldens and the benchmark use, bound
+# the work one constant can ask for (z(10000) alone takes seconds).  Each
+# value built, operands of sums and products included, stays at level
+# MAX_LEVEL or below; rt(c, n) with c at level L may bring in roots of
+# unity of order 2*n*L, so n*L is capped before the root is taken.
+
+MAX_LEVEL = 360  # cyclotomic level; n in z(n), n*L in rt(c, n), |e| in ^e
+MAX_RAMIFICATION = 60  # p of a polar part sum a_j t^(-j/p)
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<sym>[-+*/^(),])|(?P<bad>\S))")
 
@@ -134,6 +142,15 @@ class _Tokens:
         line = self.text.count("\n", 0, offset) + 1
         return ParseError(line, offset - self.text.rfind("\n", 0, offset), message)
 
+    def capped(self, level: int, offset: int) -> int:
+        if level > MAX_LEVEL:
+            raise self.error(f"cyclotomic level {level} exceeds {MAX_LEVEL}", offset)
+        return level
+
+
+def _level(a) -> int:
+    return math.lcm(*(c.level for _, c in _terms_of(a)))
+
 
 def _ratio(tk: _Tokens) -> Fraction:
     num = tk.integer()
@@ -152,7 +169,11 @@ def _rational(tk: _Tokens) -> Fraction:
 def _power(tk: _Tokens) -> int:
     if not tk.accept("^"):
         return 1
-    return -tk.integer() if tk.accept("-") else tk.integer()
+    offset = tk.toks[tk.pos][2]
+    e = -tk.integer() if tk.accept("-") else tk.integer()
+    if abs(e) > MAX_LEVEL:
+        raise tk.error(f"exponent {e} is outside -{MAX_LEVEL}..{MAX_LEVEL}", offset)
+    return e
 
 
 def _factor(tk: _Tokens):
@@ -169,8 +190,8 @@ def _factor(tk: _Tokens):
     if s == "z":
         tk.expect("(")
         n = tk.integer()
-        if n < 1:
-            raise tk.error("root-of-unity order must be positive", offset)
+        if not 1 <= n <= MAX_LEVEL:
+            raise tk.error(f"root-of-unity order must be in 1..{MAX_LEVEL}", offset)
         tk.expect(")")
         return CycloNum.zeta(n, _power(tk) % n)
     if s == "rt":
@@ -180,8 +201,12 @@ def _factor(tk: _Tokens):
         n = tk.integer()
         if n < 1:
             raise tk.error("root index must be positive", offset)
+        level = _level(base)
+        if n * level > MAX_LEVEL:
+            raise tk.error(f"root index {n} times cyclotomic level {level} exceeds {MAX_LEVEL}", offset)
         tk.expect(")")
         val = croot(base, n)
+        tk.capped(_level(val), offset)
         e = _power(tk)
         return val if e == 1 else cpow(val, e)
     raise tk.error(f"expected a coefficient atom, got {s or 'eof'!r}", offset)
@@ -191,8 +216,11 @@ def _product(tk: _Tokens, polar: bool):
     """A coefficient; in a polar part, the pair (j/p, coefficient) of a
     term coefficient*t^(-j/p), whose coefficient defaults to 1."""
     acc = None
+    level = 1
     while not (polar and tk.peek() == "t"):
+        offset = tk.toks[tk.pos][2]
         f = _factor(tk)
+        level = tk.capped(math.lcm(level, _level(f)), offset)
         acc = f if acc is None else cmul(acc, f)
         if polar:
             tk.expect("*")
@@ -210,9 +238,12 @@ def _product(tk: _Tokens, polar: bool):
 def _sum(tk: _Tokens, polar: bool) -> list:
     """The signed products of a sum."""
     terms = []
+    level = 1
     negate = tk.accept("-")
     while True:
+        offset = tk.toks[tk.pos][2]
         term = _product(tk, polar)
+        level = tk.capped(math.lcm(level, _level(term[1] if polar else term)), offset)
         if negate:
             term = (term[0], cneg(term[1])) if polar else cneg(term)
         terms.append(term)
@@ -231,8 +262,11 @@ def _coeff(tk: _Tokens):
 def _polar(tk: _Tokens) -> PolarPart:
     if tk.accept("0"):
         return PolarPart.zero()
+    offset = tk.toks[tk.pos][2]
     terms = _sum(tk, True)
     p = math.lcm(*(e.denominator for e, _ in terms))
+    if p > MAX_RAMIFICATION:
+        raise tk.error(f"ramification {p} exceeds {MAX_RAMIFICATION}", offset)
     return PolarPart.make(p, [(int(e * p), c) for e, c in terms])
 
 
@@ -270,14 +304,23 @@ def _factor_str(a) -> str:
     return f"({s})" if terms > 1 else s
 
 
+def _printable(what: str, size: int, cap: int):
+    """Refuse to print what the grammar rejects: what prints, parses."""
+    if size > cap:
+        raise SemanticError(f"cannot print a value whose {what} {size} exceeds the grammar cap {cap}")
+
+
 def coeff_str(a) -> str:
+    _printable("cyclotomic level", _level(a), MAX_LEVEL)
     if not isinstance(a, RadicalCoeff):
         return format_cyclo(a)
     parts = []
     for mono, c in a.terms:
         atoms = [_factor_str(c)]
         for idx, e in mono:
-            atom = f"rt({_factor_str(TOWER.value(idx))}, {e.denominator})"
+            base = TOWER.value(idx)
+            _printable("root index times cyclotomic level", e.denominator * base.level, MAX_LEVEL)
+            atom = f"rt({_factor_str(base)}, {e.denominator})"
             if e.numerator != 1:
                 atom += f"^{e.numerator}"
             atoms.append(atom)
@@ -288,6 +331,8 @@ def coeff_str(a) -> str:
 def polar_str(phi: PolarPart) -> str:
     if phi.is_zero():
         return "0"
+    _printable("cyclotomic level", math.lcm(*(_level(c) for _, c in phi.terms)), MAX_LEVEL)
+    _printable("ramification", phi.ram // math.gcd(phi.ram, *(j for j, _ in phi.terms)), MAX_RAMIFICATION)
     parts = []
     for j, c in phi.terms:
         e = Fraction(j, phi.ram)
@@ -436,6 +481,8 @@ def _moebius_coeffs(d: dict) -> tuple:
         raise SemanticError("moebius step needs 4 coefficients")
     if not all(isinstance(c, CycloNum) for c in coeffs):
         raise SemanticError("moebius coefficients must be cyclotomic")
+    if coeffs[0] * coeffs[3] == coeffs[1] * coeffs[2]:
+        raise SemanticError("moebius coefficients must have ad - bc != 0")
     return tuple(coeffs)
 
 
@@ -510,17 +557,8 @@ EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
 
 # What execute_command reports as an input error: exit 2, one error line.
-INPUT_ERRORS = (
-    ParseError,
-    SemanticError,
-    FormalError,
-    TransformsError,
-    ReplayMismatch,
-    RadicalError,
-    PuiseuxError,
-    EnumerationError,
-    OSError,
-)
+# UndecidedSign is caught first and exits 3.
+INPUT_ERRORS = (RigidconnError, OSError)
 
 
 def _load_problem(path: str) -> Problem:
@@ -558,8 +596,9 @@ def _cmd_reduce(args, out) -> int:
     if isinstance(res, Certificate):
         kinds = [s.kind for s in res.steps]
         if args.cert:
+            text = print_certificate(res)  # may refuse; then no file is written
             with open(args.cert, "w", encoding="utf-8") as fh:
-                fh.write(print_certificate(res))
+                fh.write(text)
         _emit(
             out,
             args,
@@ -710,12 +749,12 @@ def execute_command(argv, out=None, err=None) -> int:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args, out)
-    except INPUT_ERRORS as e:
-        err.write(f"error: {e}\n")
-        return EXIT_INPUT
     except UndecidedSign as e:
         err.write(f"precision exhausted: {e}\n")
         return EXIT_UNDECIDED
+    except INPUT_ERRORS as e:
+        err.write(f"error: {e}\n")
+        return EXIT_INPUT
 
 
 def main():

@@ -21,23 +21,17 @@ from functools import lru_cache
 
 from mpmath.ctx_iv import MPIntervalContext
 
+from .errors import RigidconnError
+
 DEFAULT_PRECISION_BITS = 128
 PRECISION_CAP_BITS = 2048
 
 
-class CycloError(Exception):
-    pass
-
-
-class DivisionByZero(CycloError):
+class CycloError(RigidconnError):
     pass
 
 
 class NotCoprime(CycloError):
-    pass
-
-
-class ZeroArgument(CycloError):
     pass
 
 
@@ -241,7 +235,7 @@ class CycloNum:
         """1/a = (prod of the conjugates sigma_k(a), k != 1) / N(a), the
         norm N(a) = a * prod sigma_k(a) being rational."""
         if self.is_zero():
-            raise DivisionByZero("inverse of zero")
+            raise CycloError("inverse of zero")
         n, v = self.level, self.nums
         conj = (1,) + (0,) * (len(v) - 1)
         for k in range(2, n):
@@ -462,7 +456,7 @@ def angle_exact(a: CycloNum):
     it is returned as that interval (an mpmath ivmpf, read modulo 1).
     The precision doubles up to PRECISION_CAP_BITS before UndecidedSign."""
     if a.is_zero():
-        raise ZeroArgument("angle of zero")
+        raise CycloError("angle of zero")
     candidates = None
     power = a
     for m in range(1, 9):

@@ -15,6 +15,7 @@ import math
 from fractions import Fraction
 
 from .adk import Certificate, NotRigid, Undecided, run_adk
+from .errors import RigidconnError
 from .formal import (
     FormalType,
     Location,
@@ -27,7 +28,7 @@ from .puiseux import PolarPart, canonical_rep
 from .rigidity import rig_index
 
 
-class EnumerationError(Exception):
+class EnumerationError(RigidconnError):
     pass
 
 
@@ -139,7 +140,8 @@ def count_rigid(locations, phi_pool, N: int, r: int, max_steps: int = 64):
     for P in enumerate_candidates(locations, phi_pool, N, r):
         _, verdict, res = classify_candidate(P, max_steps)
         if verdict == "certified":
-            assert is_quasi_unipotent(P)
+            if not is_quasi_unipotent(P):
+                raise EnumerationError("a certified candidate must be quasi-unipotent")
             certified.append((P, res))
         elif verdict == "unresolved":
             unresolved.append((P, res))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycloNum
+from .errors import RigidconnError
 from .puiseux import (
     PolarPart,
     canonical_rep,
@@ -31,7 +32,7 @@ from .puiseux import (
 from .radicals import csort_key
 
 
-class FormalError(Exception):
+class FormalError(RigidconnError):
     pass
 
 
@@ -218,7 +219,8 @@ def rank(t: FormalType) -> int:
 def irregularity(t: FormalType) -> int:
     """Sum of slopes with multiplicity; an integer."""
     total = sum((slope(f.phi) * f.rank() for f in t.factors), Fraction(0))
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise FormalError("irregularity must be integral")
     return int(total)
 
 
@@ -248,7 +250,8 @@ def hom_irregularity(m: FormalType, nt: FormalType) -> int:
                 for s2 in range(pj):
                     psi_s2 = galois_act(fj.phi, s2)
                     total += ri * rj * diff_pole_order(phi_s, psi_s2, level=e)
-    assert total % e == 0, "hom irregularity must be integral"
+    if total % e:
+        raise FormalError("hom irregularity must be integral")
     return total // e
 
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclo import CycloNum
+from .errors import RigidconnError
 
 Matrix = list[list[CycloNum]]
 
 
-class LinAlgError(Exception):
+class LinAlgError(RigidconnError):
     pass
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycloNum
+from .errors import RigidconnError
 from .radicals import (
-    NonInvertibleLeadingTerm,
     RadicalCoeff,
     cadd,
     ceq,
@@ -37,19 +37,7 @@ from .radicals import (
 )
 
 
-class PuiseuxError(Exception):
-    pass
-
-
-class ZeroPolarPart(PuiseuxError):
-    pass
-
-
-class NotMinimal(PuiseuxError):
-    pass
-
-
-class OutOfRange(PuiseuxError):
+class PuiseuxError(RigidconnError):
     pass
 
 
@@ -78,7 +66,8 @@ class PolarPart:
         clean = [(j, _norm_coeff(c)) for j, c in by_order.items() if not cis_zero(c)]
         if not clean:
             return PolarPart(1, ())
-        assert all(j > 0 for j, _ in clean)
+        if any(j <= 0 for j, _ in clean):
+            raise PuiseuxError("polar part exponents must be positive")
         g = math.gcd(ram, math.gcd(*[j for j, _ in clean]))
         if g > 1:
             clean = [(j // g, c) for j, c in clean]
@@ -135,7 +124,7 @@ def slope(phi: PolarPart) -> Fraction:
 
 def is_minimal(phi: PolarPart) -> bool:
     if phi.is_zero():
-        raise ZeroPolarPart("minimality of the zero polar part")
+        raise PuiseuxError("minimality of the zero polar part")
     # PolarPart.make reduces pullbacks, so stored parts are minimal
     g = math.gcd(phi.ram, math.gcd(*[j for j, _ in phi.terms]))
     return g == 1
@@ -150,7 +139,7 @@ def galois_act(phi: PolarPart, m: int) -> PolarPart:
     """Coefficient a_j -> a_j * zeta_p^(-j*m); z -> nu z on the cover."""
     p = phi.ram
     if not 0 <= m < p:
-        raise OutOfRange(f"galois index {m} not in [0, {p})")
+        raise PuiseuxError(f"galois index {m} not in [0, {p})")
     if m == 0 or phi.is_zero():
         return phi
     out = [(j, cmul(c, CycloNum.zeta(p, (-j * m) % p))) for j, c in phi.terms]
@@ -167,7 +156,7 @@ def canonical_rep(phi: PolarPart) -> tuple[PolarPart, int]:
     if phi.is_zero():
         return phi, 0
     if not is_minimal(phi):
-        raise NotMinimal(repr(phi))
+        raise PuiseuxError(f"not minimal: {phi!r}")
     orb = orbit(phi)
     best_i = min(range(len(orb)), key=lambda i: orb[i].sort_key())
     rep = orb[best_i]
@@ -180,7 +169,8 @@ def diff_pole_order(phi: PolarPart, psi: PolarPart, level: int | None = None) ->
     """Largest exponent numerator of phi - psi at the common (or given)
     ramification level; 0 when equal."""
     e = level or math.lcm(phi.ram, psi.ram)
-    assert e % phi.ram == 0 and e % psi.ram == 0
+    if e % phi.ram or e % psi.ram:
+        raise PuiseuxError(f"level {e} is not a common ramification of {phi.ram} and {psi.ram}")
     _, m1 = _raw_ramify(phi, e // phi.ram)
     _, m2 = _raw_ramify(psi, e // psi.ram)
     diff = dict(m1)
@@ -272,7 +262,7 @@ class Lser:
         """Multiplicative inverse; leading coefficient must be
         invertible (cyclotomic or single radical monomial)."""
         if self.is_zero():
-            raise NonInvertibleLeadingTerm("inverse of zero series")
+            raise PuiseuxError("inverse of zero series")
         v = self.valuation()
         inv_lead = cinv(self.terms[v])
         rest = Lser({k - v: cmul(c, inv_lead) for k, c in self.terms.items() if k != v}, self.trunc - v)

@@ -17,16 +17,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import CycloNum, DivisionByZero, _positive_rational_angle, embed
+from .cyclo import CycloNum, _positive_rational_angle, embed
+from .errors import RigidconnError
 
 POWER_RELATION_BOUND = 16
 
 
-class RadicalError(Exception):
-    pass
-
-
-class NonInvertibleLeadingTerm(RadicalError):
+class RadicalError(RigidconnError):
     pass
 
 
@@ -189,12 +186,10 @@ def cinv(a):
     if not isinstance(a, RadicalCoeff):
         c = terms[0][1]
         if c.is_zero():
-            raise DivisionByZero("inverse of zero")
+            raise RadicalError("inverse of zero")
         return c.inv()
     if len(a.terms) != 1:
-        raise NonInvertibleLeadingTerm(
-            "inverse of a multi-term radical coefficient is not supported"
-        )
+        raise RadicalError("inverse of a multi-term radical coefficient is not supported")
     mono, c = a.terms[0]
     inv_mono = []
     coeff = c.inv()
@@ -295,7 +290,7 @@ def croot(a, n: int):
         raise RadicalError("root of zero")
     if isinstance(a, RadicalCoeff):
         if len(a.terms) != 1:
-            raise NonInvertibleLeadingTerm("root of a multi-term radical coefficient")
+            raise RadicalError("root of a multi-term radical coefficient")
         mono, c = a.terms[0]
         root_c = croot(c, n)
         out_mono = [(idx, e / n) for idx, e in mono]
@@ -309,7 +304,8 @@ def croot(a, n: int):
         s = ang.numerator
         zeta_part = CycloNum.zeta(t * n, s) if ang else CycloNum.one()
         rho = (a * CycloNum.zeta(2 * t, (-s * 2) % (2 * t))).as_rational()
-        assert rho > 0
+        if rho <= 0:
+            raise RadicalError("the modulus of a nonzero coefficient must be positive")
         rr = rational_nth_root(rho, n)
         if rr is not None:
             return zeta_part * rr

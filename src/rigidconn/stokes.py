@@ -23,7 +23,7 @@ from fractions import Fraction
 from mpmath.ctx_iv import ivmpf
 
 from .cyclo import CycloNum, UndecidedSign, angle_exact, shift, turns
-from .puiseux import PolarPart, polar_add, polar_neg
+from .puiseux import PolarPart, PuiseuxError, polar_add, polar_neg
 from .radicals import RadicalCoeff, cembed, is_positive_monomial
 
 
@@ -65,7 +65,8 @@ def _leading_difference(psi: PolarPart, phi: PolarPart, p: int):
     diff = polar_add(psi, polar_neg(phi))
     if diff.is_zero():
         return None
-    assert p % diff.ram == 0, "polar parts not at a common ramification"
+    if p % diff.ram:
+        raise PuiseuxError("polar parts not at a common ramification")
     j, a = diff.terms[0]
     return j * (p // diff.ram), a
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycloNum
+from .errors import RigidconnError
 from .formal import (
     INF,
     ExpFactor,
@@ -48,27 +49,11 @@ from .puiseux import Lser, PolarPart, SeriesNotCertified, ceq, cmul, polar_add, 
 from .rigidity import rig_index
 
 
-class TransformsError(Exception):
-    pass
-
-
-class SlopeLegMismatch(TransformsError):
-    pass
-
-
-class RankZeroOutput(TransformsError):
-    pass
-
-
-class UnknownLocation(TransformsError):
+class TransformsError(RigidconnError):
     pass
 
 
 class TrivialChi(TransformsError):
-    pass
-
-
-class NotScalarAtInfinity(TransformsError):
     pass
 
 
@@ -113,7 +98,7 @@ def twist_global(P: Problem, L: RankOneData) -> Problem:
     for loc, psi, b in L.points:
         t = P.at(loc)
         if t is None:
-            raise UnknownLocation(f"twist at non-singular location {loc!r}")
+            raise TransformsError(f"twist at non-singular location {loc!r}")
         P = P.with_point(loc, twist_local(t, psi, b))
     return P
 
@@ -167,7 +152,7 @@ def inf_to_inf(f: ExpFactor) -> ExpFactor:
     """Leg at infinity with slope > 1: contributes at tau = infinity."""
     phi = f.phi
     if slope(phi) <= 1:
-        raise SlopeLegMismatch(f"inf_to_inf needs slope > 1, got {slope(phi)}")
+        raise TransformsError(f"inf_to_inf needs slope > 1, got {slope(phi)}")
     p = phi.ram
     q = phi.terms[0][0]
     polar = _audited_polar(list(phi.terms), p, -p, p - q, q - p, q + 2)
@@ -179,7 +164,7 @@ def inf_to_finite(f: ExpFactor) -> tuple[CycloNum, ExpFactor]:
     the finite point tau = c, c the coefficient of the linear head c*t."""
     phi = f.phi
     if slope(phi) > 1:
-        raise SlopeLegMismatch(f"inf_to_finite needs slope <= 1, got {slope(phi)}")
+        raise TransformsError(f"inf_to_finite needs slope <= 1, got {slope(phi)}")
     p = phi.ram
     c = phi.coeff(p)
     if not isinstance(c, CycloNum):
@@ -275,7 +260,7 @@ def fourier_global(P: Problem) -> Problem:
             vanishing.append((Location.of(c), g))
     rp = sum(f.rank() for f in inf_factors)
     if rp == 0:
-        raise RankZeroOutput("transform of a successive extension of exponentials")
+        raise TransformsError("transform of a successive extension of exponentials")
     if rp != fourier_rank_prediction(P):
         raise InvariantViolation("leg ranks disagree with the rank formula")
 
@@ -392,7 +377,7 @@ def middle_convolution(P: Problem, chi_exponent) -> Problem:
         raise TrivialChi("middle convolution with the trivial character")
     tinf = P.at(INF) or FormalType.trivial(P.rank())
     if any(not f.phi.is_zero() for f in tinf.factors):
-        raise NotScalarAtInfinity("infinity must be regular; twist the polar part away first")
+        raise TransformsError("infinity must be regular; twist the polar part away first")
     # scalar monodromy at infinity is the textbook situation; the engine
     # is exact for any regular infinity, and the chi^{-1} bullet below is
     # checked whenever the scalar hypothesis actually holds

@@ -110,6 +110,15 @@ def test_corrupted_certificate_rejected():
         replay_certificate(Certificate(bad_steps, cert.terminal, cert.origin))
 
 
+def test_degenerate_moebius_step_is_a_replay_mismatch():
+    # (1, 1, 1, 1) has ad - bc = 0: its undo (1, -1, -1, 1) sends every
+    # point to -1, where the points collide
+    P = hypergeometric()
+    one = CycloNum.one()
+    with pytest.raises(ReplayMismatch, match=r"step 0 \(moebius\) failed to invert: duplicate location"):
+        replay_certificate(Certificate((Moebius((one, one, one, one), 2),), P, P))
+
+
 def test_certificate_records_origin():
     P = hypergeometric()
     cert = run_adk(P)

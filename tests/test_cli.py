@@ -1,11 +1,14 @@
 """Parsers, canonical printers, file formats, and subcommands."""
 
+import copy
+import functools
 import io
 import json
 import operator
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -14,11 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidconn import cli
+from rigidconn.adk import Certificate, Moebius, ReplayMismatch, TwoSpecialPoints, replay_certificate
 from rigidconn.cli import (
     EXIT_INPUT,
     EXIT_NOT_RIGID,
     EXIT_OK,
+    EXIT_UNDECIDED,
     INPUT_ERRORS,
+    MAX_RAMIFICATION,
+    MAX_LEVEL,
     ParseError,
     SemanticError,
     coeff_str,
@@ -34,10 +42,14 @@ from rigidconn.cli import (
     print_problem,
 )
 import rigidconn
-from rigidconn.cyclo import CycloNum
-from rigidconn.formal import INF, Location
-from rigidconn.puiseux import PolarPart
-from rigidconn.radicals import cadd, ceq, cneg, croot
+from rigidconn.cyclo import CycloError, CycloNum, UndecidedSign
+from rigidconn.enumerate import EnumerationError
+from rigidconn.errors import RigidconnError
+from rigidconn.formal import INF, FormalError, Location
+from rigidconn.linalg import LinAlgError
+from rigidconn.puiseux import PolarPart, PuiseuxError
+from rigidconn.radicals import RadicalError, cadd, ceq, cneg, croot
+from rigidconn.transforms import TransformsError
 
 from helpers import F, fourpoint, hypergeometric, kloosterman, problems_equal
 
@@ -119,14 +131,37 @@ def test_parse_coeff_errors_carry_position():
     assert e.value.line == 1 and e.value.column > 0
 
 
+# (parser, text, line, column, message); a case's id is text-line-column
+ERROR_POSITIONS = [
+    (parse_coeff, "1 + + 2", 1, 5, "expected a coefficient atom, got '+'"),
+    (parse_coeff, "rt(2,2", 1, 7, "expected ')', got 'eof'"),
+    (parse_coeff, "z(6)^", 1, 6, "expected an integer, got 'eof'"),
+    (parse_coeff, "\n\n  z(3) $", 3, 8, "unexpected character '$'"),
+    # the resource caps
+    (parse_coeff, "1 + z(361)", 1, 5, "root-of-unity order must be in 1..360"),
+    (parse_coeff, "z(0)", 1, 1, "root-of-unity order must be in 1..360"),
+    (parse_coeff, "z(3)^-361", 1, 6, "exponent -361 is outside -360..360"),
+    (parse_coeff, "2*rt(3, 361)", 1, 3, "root index 361 times cyclotomic level 1 exceeds 360"),
+    (parse_coeff, "rt(z(360), 60)", 1, 1, "root index 60 times cyclotomic level 360 exceeds 360"),
+    (parse_coeff, "rt(rt(z(120), 3), 2)", 1, 1, "root index 2 times cyclotomic level 360 exceeds 360"),
+    (parse_coeff, "rt(-1, 360)", 1, 1, "cyclotomic level 720 exceeds 360"),
+    (parse_coeff, "z(20) + z(27)", 1, 9, "cyclotomic level 540 exceeds 360"),
+    (parse_coeff, "(z(20))*z(27)", 1, 9, "cyclotomic level 540 exceeds 360"),
+    (parse_polar, "t^(-1/10000)", 1, 1, "ramification 10000 exceeds 60"),
+    (parse_polar, " z(3)*t^(-1/7) + t^(-1/11)", 1, 2, "ramification 77 exceeds 60"),
+    (parse_polar, "z(20)*t^(-1) + z(27)*t^(-2)", 1, 16, "cyclotomic level 540 exceeds 360"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,line,column",
-    [("1 + + 2", 1, 5), ("rt(2,2", 1, 7), ("z(6)^", 1, 6), ("\n\n  z(3) $", 3, 8)],
+    "parse, text, line, column, message",
+    ERROR_POSITIONS,
+    ids=[f"{text}-{line}-{column}" for _, text, line, column, _ in ERROR_POSITIONS],
 )
-def test_parse_error_positions(text, line, column):
+def test_parse_error_positions(parse, text, line, column, message):
     with pytest.raises(ParseError) as e:
-        parse_coeff(text)
-    assert (e.value.line, e.value.column) == (line, column)
+        parse(text)
+    assert (e.value.line, e.value.column, e.value.message) == (line, column, message)
 
 
 def test_parse_rational():
@@ -135,6 +170,28 @@ def test_parse_rational():
     for text in ("0.5", "1e3", "+1/2", "1/0", "1_000", "1/-2", "--1", ""):
         with pytest.raises(ParseError):
             parse_rational(text)
+
+
+def test_parser_accepts_values_up_to_its_caps():
+    assert parse_coeff(f"z({MAX_LEVEL})") == CycloNum.zeta(MAX_LEVEL)
+    assert parse_coeff(f"z(3)^-{MAX_LEVEL}") == CycloNum.one()
+    assert ceq(parse_coeff(f"rt(2, {MAX_LEVEL})"), croot(CycloNum.from_rational(2), MAX_LEVEL))
+    assert ceq(parse_coeff(f"rt(z(6), {MAX_LEVEL // 6})"), croot(CycloNum.zeta(6), MAX_LEVEL // 6))
+    assert parse_coeff("rt(-1, 180)") == CycloNum.zeta(MAX_LEVEL)
+    assert parse_coeff("z(8)*z(9) + z(5)") == CycloNum.zeta(8) * CycloNum.zeta(9) + CycloNum.zeta(5)
+    assert parse_polar(f"t^(-1/{MAX_RAMIFICATION})").ram == MAX_RAMIFICATION
+
+
+def test_printers_refuse_what_the_grammar_rejects():
+    for value in (CycloNum.zeta(504), cadd(CycloNum.zeta(20), CycloNum.zeta(27))):
+        with pytest.raises(SemanticError, match="cyclotomic level"):
+            coeff_str(value)
+    with pytest.raises(SemanticError, match="cyclotomic level 540"):
+        polar_str(PolarPart.make(1, [(1, CycloNum.zeta(20)), (2, CycloNum.zeta(27))]))
+    with pytest.raises(SemanticError, match="ramification 61"):
+        polar_str(PolarPart.make(61, [(1, CycloNum.one())]))
+    with pytest.raises(SemanticError, match="root index times cyclotomic level"):
+        coeff_str(croot(CycloNum.from_rational(2), MAX_LEVEL + 1))
 
 
 # Token strings over the grammar's alphabet: a sum of products of atoms,
@@ -258,6 +315,32 @@ def test_cmd_reduce_not_rigid(files):
     assert code == EXIT_NOT_RIGID
 
 
+def test_cmd_reduce_certificate_parses_back(tmp_path):
+    # the Moebius step that moves z(7) and z(9) to 0 and infinity brings
+    # in values at level 63
+    d = json.loads(print_problem(kloosterman()))
+    d["points"][0]["loc"], d["points"][1]["loc"] = "z(7)", "z(9)"
+    problem, cert = tmp_path / "p.json", tmp_path / "cert.json"
+    problem.write_text(json.dumps(d), encoding="utf-8")
+    code, _, _ = run(["reduce", str(problem), "--cert", str(cert)])
+    assert code == EXIT_OK
+    text = cert.read_text(encoding="utf-8")
+    assert "z(63)" in text
+    assert print_certificate(parse_certificate(text)) == text
+
+
+def test_cmd_reduce_refuses_a_certificate_above_the_caps(files, tmp_path, monkeypatch):
+    # locations at z(7), z(8) and z(9) can give a Moebius step at level 504
+    k = CycloNum.zeta(7) * CycloNum.zeta(8) * CycloNum.zeta(9)
+    P = hypergeometric()
+    monkeypatch.setattr(cli, "run_adk", lambda *a: Certificate((Moebius((k, 0, 0, 1), 2),), P, P))
+    cert = tmp_path / "cert.json"
+    code, out, err = run(["reduce", files["hyper"], "--cert", str(cert)])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: cannot print a value whose cyclotomic level 504 exceeds the grammar cap 360\n"
+    assert not cert.exists()
+
+
 def test_cmd_fourier(files):
     code, out, _ = run(["fourier", files["kloos"]])
     assert code == EXIT_OK
@@ -322,6 +405,24 @@ def test_cmd_stokes_arcs(files):
     assert all(p["full_circle"] == (p["psi"] == p["phi"]) for p in report["pairs"])
 
 
+def test_undecided_sign_exits_3(files, monkeypatch):
+    # UndecidedSign derives from the error root too, and is caught first
+    def undecided(*args):
+        raise UndecidedSign("angle of a coefficient whose interval contains 0")
+
+    monkeypatch.setattr(cli, "order_arcs", undecided)
+    code, out, err = run(["stokes-arcs", files["kloos"], "--point", "inf"])
+    assert (code, out) == (EXIT_UNDECIDED, "")
+    assert err == "precision exhausted: angle of a coefficient whose interval contains 0\n"
+
+
+def test_every_library_error_has_one_root():
+    assert INPUT_ERRORS == (RigidconnError, OSError)
+    bases = [CycloError, RadicalError, PuiseuxError, FormalError, LinAlgError, TransformsError]
+    bases += [EnumerationError, ParseError, SemanticError, TwoSpecialPoints, ReplayMismatch]
+    assert all(issubclass(b, RigidconnError) for b in bases)
+
+
 def test_certificate_roundtrip():
     from rigidconn.adk import run_adk
 
@@ -370,6 +471,12 @@ MALFORMED = {
     "exp_decimal": _set(["points", 0, "factors", 0, "reg", 0, "exp"], "0.5"),
     "exp_exponent": _set(["points", 0, "factors", 0, "reg", 0, "exp"], "1e10000000"),
     "exp_leading_plus": _set(["points", 0, "factors", 0, "reg", 0, "exp"], "+1/2"),
+    "phi_ramification": _set(["points", 1, "factors", 0, "phi"], "t^(-1/10000)"),
+    "loc_root_order": _set(["points", 0, "loc"], "z(30000001)"),
+    "loc_root_index": _set(["points", 0, "loc"], "rt(2, 100000)"),
+    "loc_root_of_a_root_of_unity": _set(["points", 0, "loc"], "rt(z(360), 60)"),
+    "loc_root_power": _set(["points", 0, "loc"], "rt(2, 2)^1000000000"),
+    "loc_level_product": _set(["points", 0, "loc"], "z(359)*z(353)"),
 }
 
 
@@ -430,6 +537,10 @@ def test_parse_error_names_the_certificate_field(cert, path, value, where, tmp_p
             {"kind": "moebius", "coeffs": ["rt(2,2)", "1/2", "-z(3)", "2"], "predicted_rank": 2},
             "moebius coefficients must be cyclotomic",
         ),
+        (
+            {"kind": "moebius", "coeffs": ["1", "1", "1", "1"], "predicted_rank": 2},
+            "moebius coefficients must have ad - bc != 0",
+        ),
     ],
 )
 def test_malformed_step_exits_2(step, message, tmp_path):
@@ -464,6 +575,65 @@ def test_json_loader_errors_exit_2(text, tmp_path):
     code, out, err = run(["rig", str(path)])
     assert code == EXIT_INPUT
     assert out == "" and err.startswith("error: ")
+
+
+# --- whole documents ------------------------------------------------------
+
+_DOCUMENTS = {
+    name: json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    for name in ("hyper", "kloos", "four", "cert_hyper", "cert_kloos", "cert_kloos0")
+}
+
+
+def _paths(doc, path=()):
+    """(key path, value) of every value below a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A golden problem or certificate with one to three edits: a field
+    or array entry dropped, a scalar swapped for a grammar-fuzz token
+    string, or an integer changed."""
+    name = draw(st.sampled_from(sorted(_DOCUMENTS)))
+    doc = copy.deepcopy(_DOCUMENTS[name])
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["drop", "token", "integer"]))
+        wanted = {"drop": object, "token": (str, int), "integer": int}[how]
+        paths = [p for p, v in _paths(doc) if isinstance(v, wanted)]
+        if not paths:
+            continue
+        *head, key = draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, head, doc)
+        if how == "drop":
+            del parent[key]
+        elif how == "token":
+            parent[key] = draw(_token_strings())
+        else:
+            parent[key] = draw(st.integers(-1, 6))
+    return name, json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_documents())
+def test_document_fuzz(case):
+    name, text = case
+    is_cert = name.startswith("cert")
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "doc.json")
+        Path(path).write_text(text, encoding="utf-8")
+        code, _, _ = run(["replay" if is_cert else "reduce", path])
+    assert code in (EXIT_OK, EXIT_NOT_RIGID, EXIT_INPUT, EXIT_UNDECIDED)
+    if is_cert and code != EXIT_OK:
+        try:
+            C = parse_certificate(text)
+        except INPUT_ERRORS:
+            return
+        with pytest.raises(ReplayMismatch):
+            replay_certificate(C)
 
 
 # --- python -m rigidconn.cli ---------------------------------------------

@@ -8,10 +8,12 @@ from rigidconn.cyclo import CycloNum
 from rigidconn.puiseux import (
     Lser,
     PolarPart,
+    PuiseuxError,
     SeriesNotCertified,
     _raw_ramify,
     binomial_pow,
     canonical_rep,
+    diff_pole_order,
     galois_act,
     orbit,
     polar_add,
@@ -146,3 +148,17 @@ def test_under_resolved_series_is_rejected():
 def test_solve_series_checks_its_leading_term(S, m):
     with pytest.raises(SeriesNotCertified):
         solve_series(S, m, 6)
+
+
+@pytest.mark.parametrize("j", [0, -1])
+def test_polar_part_exponents_must_be_positive(j):
+    # a raise, not an assert: CI also runs this file under python -O
+    with pytest.raises(PuiseuxError, match="exponents must be positive"):
+        PolarPart.make(2, [(1, ONE), (j, ONE)])
+
+
+def test_diff_pole_order_needs_a_common_level():
+    phi, psi = PolarPart.make(2, [(1, ONE)]), PolarPart.make(3, [(1, ONE)])
+    assert diff_pole_order(phi, psi, level=6) == 3
+    with pytest.raises(PuiseuxError, match="level 4 is not a common ramification"):
+        diff_pole_order(phi, psi, level=4)

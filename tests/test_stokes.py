@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from rigidconn.cyclo import CycloNum, same_turn, shift
-from rigidconn.puiseux import PolarPart, galois_act
+from rigidconn.puiseux import PolarPart, PuiseuxError, galois_act
 from rigidconn.radicals import croot
 from rigidconn.stokes import FULL_CIRCLE, Arc, _rotate_arc, boundary_directions, order_arcs
 
@@ -25,6 +25,13 @@ def _inside(theta, arcs) -> bool:
 def _act(phi: PolarPart, m: int) -> PolarPart:
     """z -> zeta_p^m z on a p-fold cover, acting on a part of ramification dividing p."""
     return galois_act(phi, m % phi.ram)
+
+
+def test_order_arcs_needs_a_common_ramification():
+    psi = PolarPart.make(2, [(1, CycloNum.one())])
+    assert len(order_arcs(psi, ZERO, 4)[1]) == 2
+    with pytest.raises(PuiseuxError, match="common ramification"):
+        order_arcs(psi, ZERO, 3)
 
 
 def test_basic_arc():
