@@ -40,7 +40,7 @@ from .formal import (
     RegularPart,
 )
 from .puiseux import PolarPart
-from .radicals import TOWER, RadicalCoeff, _terms_of, cadd, cmul, cneg, cpow, croot
+from .radicals import RadicalCoeff, _terms_of, cadd, cmul, cneg, cpow, croot
 from .rigidity import rig_index
 from .stokes import FULL_CIRCLE, order_arcs
 from .transforms import (
@@ -91,10 +91,13 @@ class SemanticError(RigidconnError):
 # the work one constant can ask for (z(10000) alone takes seconds).  Each
 # value built, operands of sums and products included, stays at level
 # MAX_LEVEL or below; rt(c, n) with c at level L may bring in roots of
-# unity of order 2*n*L, so n*L is capped before the root is taken.
+# unity of order 2*n*L, so n*L is capped before the root is taken.  The
+# Fourier legs solve series to order p + q + 2 for a polar part with
+# leading term a_q t^(-q/p), so q is capped too.
 
 MAX_LEVEL = 360  # cyclotomic level; n in z(n), n*L in rt(c, n), |e| in ^e
 MAX_RAMIFICATION = 60  # p of a polar part sum a_j t^(-j/p)
+MAX_POLE_ORDER = 120  # q of its leading term a_q t^(-q/p), in normal form
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<sym>[-+*/^(),])|(?P<bad>\S))")
 
@@ -267,7 +270,10 @@ def _polar(tk: _Tokens) -> PolarPart:
     p = math.lcm(*(e.denominator for e, _ in terms))
     if p > MAX_RAMIFICATION:
         raise tk.error(f"ramification {p} exceeds {MAX_RAMIFICATION}", offset)
-    return PolarPart.make(p, [(int(e * p), c) for e, c in terms])
+    phi = PolarPart.make(p, [(int(e * p), c) for e, c in terms])
+    if phi.terms and phi.terms[0][0] > MAX_POLE_ORDER:
+        raise tk.error(f"pole order {phi.terms[0][0]} exceeds {MAX_POLE_ORDER}", offset)
+    return phi
 
 
 def _parse(text: str, rule):
@@ -317,10 +323,9 @@ def coeff_str(a) -> str:
     parts = []
     for mono, c in a.terms:
         atoms = [_factor_str(c)]
-        for idx, e in mono:
-            base = TOWER.value(idx)
-            _printable("root index times cyclotomic level", e.denominator * base.level, MAX_LEVEL)
-            atom = f"rt({_factor_str(base)}, {e.denominator})"
+        for r, e in mono:
+            _printable("root index times cyclotomic level", e.denominator * r.level, MAX_LEVEL)
+            atom = f"rt({_factor_str(r)}, {e.denominator})"
             if e.numerator != 1:
                 atom += f"^{e.numerator}"
             atoms.append(atom)
@@ -332,7 +337,9 @@ def polar_str(phi: PolarPart) -> str:
     if phi.is_zero():
         return "0"
     _printable("cyclotomic level", math.lcm(*(_level(c) for _, c in phi.terms)), MAX_LEVEL)
-    _printable("ramification", phi.ram // math.gcd(phi.ram, *(j for j, _ in phi.terms)), MAX_RAMIFICATION)
+    g = math.gcd(phi.ram, *(j for j, _ in phi.terms))
+    _printable("ramification", phi.ram // g, MAX_RAMIFICATION)
+    _printable("pole order", phi.terms[0][0] // g, MAX_POLE_ORDER)
     parts = []
     for j, c in phi.terms:
         e = Fraction(j, phi.ram)

@@ -68,7 +68,7 @@ def _canonical_pool(phi_pool) -> list[PolarPart]:
     regular factor, in canonical order."""
     reps = [PolarPart.zero()]
     for phi in phi_pool:
-        rep, _ = canonical_rep(phi)
+        rep = canonical_rep(phi)
         if not any(rep == q for q in reps):
             reps.append(rep)
     reps.sort(key=lambda q: q.sort_key())

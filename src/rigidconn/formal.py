@@ -132,7 +132,7 @@ class FormalType:
                 phi, reg = f.phi, f.reg
             else:
                 phi, reg = f
-            rep, _ = canonical_rep(phi)
+            rep = canonical_rep(phi)
             for i, (p2, r) in enumerate(merged):
                 if p2 == rep:
                     merged[i] = (p2, RegularPart.make(r.blocks + reg.blocks))

@@ -93,16 +93,6 @@ class PolarPart:
                 return c
         return CycloNum.zero()
 
-    def __eq__(self, other):
-        if not isinstance(other, PolarPart):
-            return NotImplemented
-        if self.ram != other.ram or len(self.terms) != len(other.terms):
-            return False
-        return all(
-            j1 == j2 and ceq(c1, c2)
-            for (j1, c1), (j2, c2) in zip(self.terms, other.terms)
-        )
-
     def sort_key(self):
         return tuple((-j, csort_key(c)) for j, c in self.terms) or ((0, ()),)
 
@@ -150,19 +140,13 @@ def orbit(phi: PolarPart) -> list[PolarPart]:
     return [galois_act(phi, m) for m in range(phi.ram)]
 
 
-def canonical_rep(phi: PolarPart) -> tuple[PolarPart, int]:
-    """Deterministic orbit representative and the witness m with
-    galois_act(rep, m) == phi."""
+def canonical_rep(phi: PolarPart) -> PolarPart:
+    """Deterministic representative of the Galois orbit of phi."""
     if phi.is_zero():
-        return phi, 0
+        return phi
     if not is_minimal(phi):
         raise PuiseuxError(f"not minimal: {phi!r}")
-    orb = orbit(phi)
-    best_i = min(range(len(orb)), key=lambda i: orb[i].sort_key())
-    rep = orb[best_i]
-    # rep = galois_act(phi, best_i) so phi = galois_act(rep, -best_i)
-    m = (-best_i) % phi.ram
-    return rep, m
+    return min(orbit(phi), key=PolarPart.sort_key)
 
 
 def diff_pole_order(phi: PolarPart, psi: PolarPart, level: int | None = None) -> int:

@@ -1,14 +1,17 @@
 """Controlled radical extensions of cyclotomic fields.
 
 Stationary-phase inversion extracts fractional-power roots of leading
-coefficients; those roots live here as formal monomials b^e over a
-registry ("tower") of radicands.  Monomials with integer exponents fold
-back into the cyclotomic coefficient, so a RadicalCoeff with no genuine
-radical content collapses to a plain CycloNum.
+coefficients; those roots live here as formal monomials b^e, each
+factor naming its radicand b by value.  Monomials with integer exponents
+fold back into the cyclotomic coefficient, so a RadicalCoeff with no
+genuine radical content collapses to a plain CycloNum, and == on a
+RadicalCoeff compares values.
 
-Registered radicands are assumed multiplicatively independent modulo
-roots of unity; registration checks pairwise perfect-power relations up
-to exponent 16 and merges what it finds.
+Radicands are registered in a tower, which takes them to be
+multiplicatively independent modulo roots of unity: registration checks
+pairwise perfect-power relations up to exponent 16 and rewrites a
+radicand over the other when it finds one.  Only this module reads the
+tower.
 """
 
 from __future__ import annotations
@@ -28,57 +31,45 @@ class RadicalError(RigidconnError):
 
 
 class RadicalTower:
-    """Registry of radicands.  Entries are either a base CycloNum or a
-    redirect ('power', idx, k) meaning this radicand equals base_idx^k."""
+    """Registry of radicands: entries maps every radicand a monomial may
+    name to (base, k) with radicand = base^k, a base to (base, 1)."""
 
     def __init__(self):
-        self.entries: list = []
+        self.entries: dict[CycloNum, tuple[CycloNum, int]] = {}
 
-    def register(self, c: CycloNum) -> tuple[int, int]:
-        """Return (index, k) with c = base_index^k."""
+    def register(self, c: CycloNum) -> tuple[CycloNum, int]:
+        """Return (base, k) with c = base^k."""
         if c.is_zero():
             raise RadicalError("zero radicand")
-        for idx, entry in enumerate(self.entries):
-            if not isinstance(entry, CycloNum):
-                continue
-            acc = entry
+        bases = [r for r, (base, _) in self.entries.items() if base == r]
+        for b in bases:
+            acc = b
             for j in range(1, POWER_RELATION_BOUND + 1):
                 if acc == c:
-                    return idx, j
-                acc = acc * entry
-        for idx, entry in enumerate(self.entries):
-            if not isinstance(entry, CycloNum):
-                continue
+                    return b, j
+                acc = acc * b
+        for b in bases:
             acc = c
             for j in range(2, POWER_RELATION_BOUND + 1):
                 acc = acc * c
-                if acc == entry:
-                    new_idx = len(self.entries)
-                    self.entries.append(c)
-                    self.entries[idx] = ("power", new_idx, j)
-                    return new_idx, 1
-        self.entries.append(c)
-        return len(self.entries) - 1, 1
-
-    def resolve(self, idx: int) -> tuple[int, int]:
-        """Follow redirects; return (base_index, k)."""
-        k = 1
-        while not isinstance(self.entries[idx], CycloNum):
-            _, idx2, j = self.entries[idx]
-            idx, k = idx2, k * j
-        return idx, k
-
-    def value(self, idx: int) -> CycloNum:
-        base, k = self.resolve(idx)
-        return self.entries[base] ** k
+                if acc == b:
+                    # b = c^j: whatever lay over b now lies over c
+                    for r, (base, k) in self.entries.items():
+                        if base == b:
+                            self.entries[r] = (c, k * j)
+                    self.entries[c] = (c, 1)
+                    return c, 1
+        self.entries[c] = (c, 1)
+        return c, 1
 
 
 TOWER = RadicalTower()
 
-Monomial = tuple[tuple[int, Fraction], ...]  # ((radicand_index, exponent), ...)
+# ((radicand, exponent), ...) sorted by the radicand's csort_key
+Monomial = tuple[tuple[CycloNum, Fraction], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadicalCoeff:
     """CycloNum-linear combination of radical monomials prod b_i^{e_i},
     exponents in (0,1), in normal form."""
@@ -108,34 +99,38 @@ class RadicalCoeff:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __eq__(self, other):
+        if not isinstance(other, (RadicalCoeff, CycloNum, int, Fraction)):
+            return NotImplemented
+        return ceq(self, other)
+
     def __repr__(self):
         return f"RadicalCoeff({self.terms!r})"
 
-    # unhashable: while the tower can redirect a radicand, equal values
+    # unhashable: while the tower can rewrite a radicand, equal values
     # may differ structurally
     __hash__ = None
 
 
 def _normalize_monomial(mono, coeff: CycloNum):
-    acc: dict[int, Fraction] = {}
-    for idx, e in mono:
-        base, k = TOWER.resolve(idx)
-        e = Fraction(e) * k
-        acc[base] = acc.get(base, Fraction(0)) + e
+    acc: dict[CycloNum, Fraction] = {}
+    for r, e in mono:
+        base, k = TOWER.entries[r]
+        acc[base] = acc.get(base, Fraction(0)) + e * k
     out = []
     for base, e in acc.items():
         n = math.floor(e)
         frac = e - n
         if n:
-            coeff = coeff * TOWER.entries[base] ** n
+            coeff = coeff * base**n
         if frac:
             out.append((base, frac))
-    out.sort()
+    out.sort(key=lambda be: csort_key(be[0]))
     return tuple(out), coeff
 
 
 def _monomial_key(mono: Monomial):
-    return tuple((idx, e.numerator, e.denominator) for idx, e in mono)
+    return tuple((csort_key(r), e.numerator, e.denominator) for r, e in mono)
 
 
 # -- uniform coefficient operations (CycloNum | RadicalCoeff) --------
@@ -150,10 +145,14 @@ def _terms_of(c) -> tuple[tuple[Monomial, CycloNum], ...]:
 
 
 def cadd(a, b):
+    if isinstance(a, CycloNum) and isinstance(b, CycloNum):
+        return a + b
     return RadicalCoeff.make(list(_terms_of(a)) + list(_terms_of(b)))
 
 
 def cneg(a):
+    if isinstance(a, CycloNum):
+        return -a
     return RadicalCoeff.make([(m, -c) for m, c in _terms_of(a)])
 
 
@@ -162,6 +161,8 @@ def csub(a, b):
 
 
 def cmul(a, b):
+    if isinstance(a, CycloNum) and isinstance(b, CycloNum):
+        return a * b
     out = []
     for m1, c1 in _terms_of(a):
         for m2, c2 in _terms_of(b):
@@ -191,13 +192,10 @@ def cinv(a):
     if len(a.terms) != 1:
         raise RadicalError("inverse of a multi-term radical coefficient is not supported")
     mono, c = a.terms[0]
-    inv_mono = []
     coeff = c.inv()
-    for idx, e in mono:
-        # b^-e = b^(1-e) / b
-        inv_mono.append((idx, 1 - e))
-        coeff = coeff * TOWER.value(idx).inv()
-    return RadicalCoeff.make([(tuple(inv_mono), coeff)])
+    for r, _ in mono:
+        coeff = coeff * r.inv()  # b^-e = b^(1-e) / b
+    return RadicalCoeff.make([(tuple((r, 1 - e) for r, e in mono), coeff)])
 
 
 def cpow(a, k: int):
@@ -262,8 +260,8 @@ def _rational_root_monomial(rho: Fraction, n: int):
     num = _prime_factorization(rho.numerator)
     den = _prime_factorization(rho.denominator)
     if num is None or den is None:
-        idx, k = TOWER.register(CycloNum.from_rational(rho))
-        return ((idx, Fraction(k, n)),), Fraction(1)
+        base, k = TOWER.register(CycloNum.from_rational(rho))
+        return ((base, Fraction(k, n)),), Fraction(1)
     exps = dict(num)
     for p, a in den.items():
         exps[p] = exps.get(p, 0) - a
@@ -276,8 +274,8 @@ def _rational_root_monomial(rho: Fraction, n: int):
         if whole:
             rat *= Fraction(p) ** whole
         if frac:
-            idx, k = TOWER.register(CycloNum.from_rational(p))
-            mono.append((idx, k * frac))
+            base, k = TOWER.register(CycloNum.from_rational(p))
+            mono.append((base, k * frac))
     return tuple(mono), rat
 
 
@@ -293,7 +291,7 @@ def croot(a, n: int):
             raise RadicalError("root of a multi-term radical coefficient")
         mono, c = a.terms[0]
         root_c = croot(c, n)
-        out_mono = [(idx, e / n) for idx, e in mono]
+        out_mono = [(r, e / n) for r, e in mono]
         return cmul(RadicalCoeff.make([(tuple(out_mono), CycloNum.one())]), root_c)
     if not isinstance(a, CycloNum):
         a = CycloNum.from_rational(a)
@@ -311,8 +309,8 @@ def croot(a, n: int):
             return zeta_part * rr
         mono, rat = _rational_root_monomial(rho, n)
         return cmul(RadicalCoeff.make([(mono, CycloNum.from_rational(rat))]), zeta_part)
-    idx, k = TOWER.register(a)
-    return RadicalCoeff.make([(((idx, Fraction(k, n)),), CycloNum.one())])
+    base, k = TOWER.register(a)
+    return RadicalCoeff.make([(((base, Fraction(k, n)),), CycloNum.one())])
 
 
 def cembed(a):
@@ -321,17 +319,11 @@ def cembed(a):
     total = 0
     for mono, c in _terms_of(a):
         z = embed(c)
-        for idx, e in mono:
+        for r, e in mono:
             ctx = z.ctx
-            z *= ctx.power(embed(TOWER.value(idx)), ctx.mpf(e.numerator) / e.denominator)
+            z *= ctx.power(embed(r), ctx.mpf(e.numerator) / e.denominator)
         total += z
     return total
-
-
-def is_positive_monomial(mono: Monomial) -> bool:
-    """Whether every radicand of the monomial is a positive rational, so
-    that the monomial itself is a positive real."""
-    return all(v.is_rational() and v.as_rational() > 0 for v in (TOWER.value(i) for i, _ in mono))
 
 
 def csort_key(a):

@@ -24,7 +24,7 @@ from mpmath.ctx_iv import ivmpf
 
 from .cyclo import CycloNum, UndecidedSign, angle_exact, shift, turns
 from .puiseux import PolarPart, PuiseuxError, polar_add, polar_neg
-from .radicals import RadicalCoeff, cembed, is_positive_monomial
+from .radicals import RadicalCoeff, cembed
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def _coeff_angle(a):
     real interval."""
     if isinstance(a, RadicalCoeff):
         (mono, c), *rest = a.terms
-        if rest or not is_positive_monomial(mono):
+        if rest or not all(r.is_rational() and r.as_rational() > 0 for r, _ in mono):
             t = turns(cembed(a))
             if t is None:
                 raise UndecidedSign("angle of a coefficient whose interval contains 0")

@@ -24,7 +24,7 @@ from rigidconn.linalg import (
     mat_sub,
 )
 from rigidconn.puiseux import PolarPart
-from rigidconn.radicals import TOWER, RadicalCoeff
+from rigidconn.radicals import RadicalCoeff
 
 F = Fraction
 
@@ -359,8 +359,8 @@ def ref_value(x):
             return mpmath.fsum(
                 ref_value(c)
                 * mpmath.fprod(
-                    mpmath.power(ref_value(TOWER.value(i)), mpmath.mpf(e.numerator) / e.denominator)
-                    for i, e in mono
+                    mpmath.power(ref_value(r), mpmath.mpf(e.numerator) / e.denominator)
+                    for r, e in mono
                 )
                 for mono, c in x.terms
             )

@@ -25,8 +25,9 @@ from rigidconn.cli import (
     EXIT_OK,
     EXIT_UNDECIDED,
     INPUT_ERRORS,
-    MAX_RAMIFICATION,
     MAX_LEVEL,
+    MAX_POLE_ORDER,
+    MAX_RAMIFICATION,
     ParseError,
     SemanticError,
     coeff_str,
@@ -150,6 +151,8 @@ ERROR_POSITIONS = [
     (parse_polar, "t^(-1/10000)", 1, 1, "ramification 10000 exceeds 60"),
     (parse_polar, " z(3)*t^(-1/7) + t^(-1/11)", 1, 2, "ramification 77 exceeds 60"),
     (parse_polar, "z(20)*t^(-1) + z(27)*t^(-2)", 1, 16, "cyclotomic level 540 exceeds 360"),
+    (parse_polar, "t^(-2001/2)", 1, 1, "pole order 2001 exceeds 120"),
+    (parse_polar, "t^(-1) + 2*t^(-242/2)", 1, 1, "pole order 121 exceeds 120"),
 ]
 
 
@@ -180,6 +183,8 @@ def test_parser_accepts_values_up_to_its_caps():
     assert parse_coeff("rt(-1, 180)") == CycloNum.zeta(MAX_LEVEL)
     assert parse_coeff("z(8)*z(9) + z(5)") == CycloNum.zeta(8) * CycloNum.zeta(9) + CycloNum.zeta(5)
     assert parse_polar(f"t^(-1/{MAX_RAMIFICATION})").ram == MAX_RAMIFICATION
+    assert parse_polar(f"t^(-{MAX_POLE_ORDER}/7) + t^(-1)").terms[0][0] == MAX_POLE_ORDER
+    assert parse_polar(f"t^(-{2 * MAX_POLE_ORDER}/2)").terms == ((MAX_POLE_ORDER, 1),)
 
 
 def test_printers_refuse_what_the_grammar_rejects():
@@ -190,6 +195,8 @@ def test_printers_refuse_what_the_grammar_rejects():
         polar_str(PolarPart.make(1, [(1, CycloNum.zeta(20)), (2, CycloNum.zeta(27))]))
     with pytest.raises(SemanticError, match="ramification 61"):
         polar_str(PolarPart.make(61, [(1, CycloNum.one())]))
+    with pytest.raises(SemanticError, match="pole order 121"):
+        polar_str(PolarPart.make(2, [(121, CycloNum.one())]))
     with pytest.raises(SemanticError, match="root index times cyclotomic level"):
         coeff_str(croot(CycloNum.from_rational(2), MAX_LEVEL + 1))
 
@@ -472,6 +479,7 @@ MALFORMED = {
     "exp_exponent": _set(["points", 0, "factors", 0, "reg", 0, "exp"], "1e10000000"),
     "exp_leading_plus": _set(["points", 0, "factors", 0, "reg", 0, "exp"], "+1/2"),
     "phi_ramification": _set(["points", 1, "factors", 0, "phi"], "t^(-1/10000)"),
+    "phi_pole_order": _set(["points", 1, "factors", 0, "phi"], "t^(-2001/2)"),
     "loc_root_order": _set(["points", 0, "loc"], "z(30000001)"),
     "loc_root_index": _set(["points", 0, "loc"], "rt(2, 100000)"),
     "loc_root_of_a_root_of_unity": _set(["points", 0, "loc"], "rt(z(360), 60)"),

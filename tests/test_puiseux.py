@@ -55,11 +55,9 @@ def test_galois_act_and_orbit():
 
 def test_canonical_rep_is_orbit_invariant():
     phi = PolarPart.make(2, [(1, c(1))])
-    rep1, _ = canonical_rep(phi)
-    rep2, _ = canonical_rep(galois_act(phi, 1))
-    assert rep1 == rep2
-    rep3, _ = canonical_rep(rep1)
-    assert rep3 == rep1
+    rep1 = canonical_rep(phi)
+    assert canonical_rep(galois_act(phi, 1)) == rep1
+    assert canonical_rep(rep1) == rep1
 
 
 def test_polar_add_neg():

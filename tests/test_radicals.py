@@ -1,10 +1,15 @@
 """Radical-coefficient tower: roots, canonical monomials, embeddings."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import rigidconn
 from rigidconn.cyclo import CycloNum
 from rigidconn.formal import INF, FormalType, Location, Problem, RegularPart
 from rigidconn.puiseux import PolarPart
@@ -114,6 +119,40 @@ def test_radical_coeff_repr_roundtrip_identity():
     r = croot(c(6), 2)
     assert isinstance(r, RadicalCoeff)
     assert ceq(r, croot(c(6), 2))
+
+
+def test_print_order_does_not_depend_on_what_was_parsed_first():
+    # the tower lives as long as the process, so the order is checked in
+    # a fresh one, where rt(3, 2) is registered before rt(2, 2)
+    src = str(Path(rigidconn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "from rigidconn.cli import coeff_str, parse_coeff\n"
+        "parse_coeff('rt(3, 2)')\n"
+        "print(coeff_str(parse_coeff('rt(6, 2)')))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "1*rt(2, 2)*rt(3, 2)\n"
+
+
+def test_a_rewritten_radicand_compares_by_value():
+    a = c(2) + CycloNum.zeta(4)
+    x = croot(a * a, 3)  # registers a^2, which the next root rewrites as a power of a
+    y = croot(a, 3)
+    assert cmul(y, y) == x and x == cmul(y, y)
+    assert cmul(y, y) != y and y != x
+    unit = RegularPart.make([(F(0), 1)])
+    t = FormalType.make([(PolarPart.unramified({1: cmul(y, y)}), unit), (PolarPart.unramified({1: x}), unit)])
+    assert len(t.factors) == 1 and t.factors[0].reg.rank() == 2
+
+
+def test_equality_with_anything_but_a_number_is_false():
+    r = croot(c(2), 2)
+    assert (r == None) is False and r != None  # noqa: E711
+    assert r != "rt(2, 2)" and r == croot(c(2), 2) and r != c(2)
+    with pytest.raises(TypeError):
+        hash(r)
 
 
 def _one_number_two_radicands():
