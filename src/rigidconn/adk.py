@@ -33,9 +33,7 @@ from .puiseux import (
     cinv,
     croot,
     polar_neg,
-    polar_terms,
-    solve_series,
-    substitute,
+    pullback_polar,
     unramified_head,
 )
 from .rigidity import rig_index
@@ -137,9 +135,8 @@ def _transport_polar(phi: PolarPart, src: Location, dst: Location, a, b, c, d) -
     u0 = w.terms[p]
     rest = w.shift(-p).scale(cinv(u0)) - Lser.const(CycloNum.one(), big)
     zprime = (binomial_pow(rest, Fraction(1, p), order).scale(croot(u0, p))).shift(1)
-    zser = solve_series(Lser(zprime.terms, order + 1), 1, order)
-    out = substitute(Lser({-j: coeff for j, coeff in phi.terms}, big), zser, big)
-    return PolarPart.make(p, polar_terms(out))
+    phi_ser = Lser({-j: coeff for j, coeff in phi.terms}, big)
+    return PolarPart.make(p, pullback_polar(Lser(zprime.terms, order + 1), 1, phi_ser, order))
 
 
 # -- step records ----------------------------------------------------

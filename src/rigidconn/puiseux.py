@@ -9,10 +9,11 @@ Truncated Laurent series (Lser) carry the stationary-phase legs of the
 Fourier transform and the Moebius transport, and only this module
 evaluates, inverts and reads them: substitute evaluates S(u),
 binomial_pow gives (1 + h)^e (behind Lser.inverse and the Moebius p-th
-root), polar_terms reads off a polar part, and solve_series inverts a
-series by Newton iteration, doubling the number of certified terms per
-round, and checks the result by back-substitution.  A failed check
-raises SeriesNotCertified.
+root), polar_terms reads off a polar part, solve_series inverts a monic
+series by Newton iteration over the field of its coefficients, and
+pullback_polar, the one entry point of the legs and the transport,
+takes the one root of the leading coefficient at the boundary.  A failed
+check raises SeriesNotCertified.
 """
 
 from __future__ import annotations
@@ -200,10 +201,6 @@ class Lser:
     def const(c, trunc: int) -> "Lser":
         return Lser({0: c}, trunc)
 
-    @staticmethod
-    def monomial(k: int, c, trunc: int) -> "Lser":
-        return Lser({k: c}, trunc)
-
     def valuation(self) -> int:
         if not self.terms:
             return self.trunc
@@ -319,24 +316,40 @@ def polar_terms(W: Lser) -> dict:
 
 
 def solve_series(S: Lser, m: int, order: int) -> Lser:
-    """Solve S(u) = w^m for u = sum_{i>=1} b_i w^i by Newton iteration;
-    S has leading term c_m u^m with m != 0.  Certified to w^order."""
-    if m == 0 or S.valuation() != m:
-        raise SeriesNotCertified(f"solve_series needs m != 0 and S of valuation m, got m = {m}")
-    c_m = S.terms[m]
-    u = Lser({1: croot(cinv(c_m), m) if m > 0 else croot(c_m, -m)}, 2)
+    """Solve S(u) = w^m for u = w + O(w^2) by Newton iteration, S monic
+    of valuation m != 0 (so no root is taken); certified to w^order."""
+    if m == 0 or S.valuation() != m or S.terms[m] != 1:
+        raise SeriesNotCertified(f"solve_series needs m != 0 and S monic of valuation m, got m = {m}")
+    u = Lser({1: CycloNum.one()}, 2)
     target_known = 1
     Sd = Lser({k - 1: cmul(c, Fraction(k)) for k, c in S.terms.items()}, S.trunc - 1)
     while target_known < order:
         target_known = min(2 * target_known, order)
         u = Lser(u.terms, target_known + 1)
         Su = substitute(S, u, target_known + m)
-        F = Su - Lser.monomial(m, CycloNum.one(), Su.trunc)
+        F = Su - Lser({m: CycloNum.one()}, Su.trunc)
         if F.is_zero():
             continue
         Sdu = substitute(Sd, u, F.trunc - 1)
         u = Lser((u - F * Sdu.inverse()).terms, target_known + 1)
     # certification: back-substitute
-    if substitute(S, u, order + m) != Lser.monomial(m, CycloNum.one(), order + m):
+    if substitute(S, u, order + m) != Lser({m: CycloNum.one()}, order + m):
         raise SeriesNotCertified("series inversion failed back-substitution")
     return u
+
+
+def pullback_polar(S: Lser, m: int, phi: Lser, order: int) -> dict:
+    """{j: c} for the terms c w^(-j) of phi(u), u solving S(u) = w^m: u(w)
+    is U(lam w), U solving the monic S/c_m = x^m and lam^m = 1/c_m, as a
+    series with a fixed leading term is unique; lam is the one root taken."""
+    c_m = S.terms.get(m, 1)  # a missing lead fails in solve_series
+    inv_lead = cinv(c_m)
+    lam = croot(inv_lead, m) if m > 0 else croot(c_m, -m)
+    U = solve_series(S.scale(inv_lead), m, order)
+    polar = polar_terms(substitute(phi, U, phi.trunc))
+    lam_inv, power, out = cinv(lam), CycloNum.one(), {}
+    for j in range(1, max(polar, default=0) + 1):
+        power = cmul(power, lam_inv)
+        if j in polar:
+            out[j] = cmul(polar[j], power)
+    return out

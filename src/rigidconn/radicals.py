@@ -181,8 +181,8 @@ def ceq(a, b) -> bool:
 
 
 def cinv(a):
-    """Inverse; defined for plain CycloNums and single-monomial radical
-    coefficients (all the series engine needs)."""
+    """Inverse of a CycloNum or single-monomial radical; the series engine
+    inverts radicals only at a leg's boundary (puiseux.pullback_polar)."""
     terms = _terms_of(a)
     if not isinstance(a, RadicalCoeff):
         c = terms[0][1]

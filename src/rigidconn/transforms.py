@@ -5,14 +5,14 @@ oracle.
 Kernel convention: e^{-t tau} throughout; the inverse transform is the
 same engine composed with the coordinate sign flip t -> -t.
 
-Each stationary-phase leg builds the critical-point equation
-s(z) = d(phi)/dt on the ramified cover, inverts it by Newton iteration
-(solve_series), substitutes back into phi(t) - t*tau and keeps the
-polar part of the critical value.  Regular-part data (exponents mod 1
-and Jordan block sizes) pass through unchanged: for the slope-zero legs
-this is the exact operator computation t@ - a  ->  tau@ + (a+1), which
-is the identity modulo 1; for ramified legs the same rule is used and
-is guarded by the rigidity-preservation and oracle cross-checks.
+Each stationary-phase leg writes s = d(phi)/dt on the cover t = z^e,
+and the critical value phi - t*s as one Laurent polynomial: a*z^(-j)
+in phi becomes (1 + j/e)*a*z^(-j).  One pullback_polar call solves
+s(u) = w^m and reads the polar part of the critical value at u.
+Regular-part data (exponents mod 1, Jordan block sizes) pass through
+unchanged: exact for the slope-zero legs, where t@ - a -> tau@ + (a+1)
+is the identity modulo 1; ramified legs use the same rule, guarded by
+the rigidity-preservation and oracle cross-checks.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .linalg import (
     mat_sub,
     quotient_action,
 )
-from .puiseux import Lser, PolarPart, SeriesNotCertified, cmul, polar_add, polar_terms, slope, solve_series, substitute
+from .puiseux import Lser, PolarPart, SeriesNotCertified, cmul, polar_add, polar_neg, pullback_polar, slope
 from .rigidity import rig_index
 
 
@@ -89,8 +89,6 @@ class RankOneData:
         return all(psi.is_zero() and b == 0 for _, psi, b in self.points)
 
     def inverse(self) -> "RankOneData":
-        from .puiseux import polar_neg
-
         return RankOneData(tuple((loc, polar_neg(psi), (-b) % 1) for loc, psi, b in self.points))
 
 
@@ -108,30 +106,22 @@ def twist_global(P: Problem, L: RankOneData) -> Problem:
 _BIG = 10**6  # truncation marker for exact Laurent polynomials
 
 
-def _critical_value_polar(phi_terms, p: int, tail_exp: int, m: int, order: int) -> dict:
-    """Polar part (in w, negative exponents) of phi(u(w)) - u(w)^tail_exp * w^m,
-    where u solves s(u) = w^m for the given leg's s."""
-    S = Lser({k: c for k, c in _s_terms(phi_terms, p, tail_exp)}, _BIG)
-    u = solve_series(S, m, order)
-    phi = Lser({-j: a for j, a in phi_terms}, _BIG)
-    tail = Lser.monomial(tail_exp, CycloNum.one(), _BIG)
-    return polar_terms(substitute(phi, u, _BIG) - substitute(tail, u, _BIG).shift(m))
+def _critical_value_polar(phi_terms, e: int, m: int, order: int) -> dict:
+    """Polar part (in w) of the critical value phi - t*s at u solving s(u) = w^m,
+    s = d(phi)/dt on the cover t = z^e (e = p at a finite point, -p at infinity):
+    a*z^(-j) in phi gives s the term -(j/e)*a*z^(-j-e), phi - t*s (1 + j/e)*a*z^(-j)."""
+    s = Lser({-j - e: cmul(a, Fraction(-j, e)) for j, a in phi_terms}, _BIG)
+    value = Lser({-j: cmul(a, 1 + Fraction(j, e)) for j, a in phi_terms}, _BIG)
+    return pullback_polar(s, m, value, order)
 
 
-def _s_terms(phi_terms, p: int, tail_exp: int):
-    """Terms of s(z) = d phi / dt on the cover t = z^tail_exp
-    (tail_exp = p at a finite point, -p at infinity)."""
-    sign = Fraction(-1) if tail_exp > 0 else Fraction(1)
-    return [(-j + (-p if tail_exp > 0 else p), cmul(a, sign * Fraction(j, p))) for j, a in phi_terms]
-
-
-def _audited_polar(phi_terms, p, tail_exp, m, out_ram, order) -> PolarPart:
-    """Run the inversion at two truncations; the polar parts must agree."""
-    d1 = _critical_value_polar(phi_terms, p, tail_exp, m, order)
-    d2 = _critical_value_polar(phi_terms, p, tail_exp, m, 2 * order)
+def _audited_polar(phi_terms, e, m, order) -> PolarPart:
+    """Run the inversion at two truncations, which must agree; the output ramification is |m|."""
+    d1 = _critical_value_polar(phi_terms, e, m, order)
+    d2 = _critical_value_polar(phi_terms, e, m, 2 * order)
     if d1 != d2:
         raise SeriesNotCertified("truncation audit failed in stationary phase")
-    return PolarPart.make(out_ram, d2)
+    return PolarPart.make(abs(m), d2)
 
 
 def finite_to_inf(x: CycloNum, f: ExpFactor) -> ExpFactor:
@@ -142,7 +132,7 @@ def finite_to_inf(x: CycloNum, f: ExpFactor) -> ExpFactor:
         return ExpFactor(polar, f.reg)
     p = phi.ram
     q = phi.terms[0][0]
-    polar = _audited_polar(list(phi.terms), p, p, -(p + q), p + q, p + q + 2)
+    polar = _audited_polar(list(phi.terms), p, -(p + q), p + q + 2)
     # the -x*t part of the exponent: -x*tau
     return ExpFactor(polar_add(polar, PolarPart.make(1, [(1, -x)])), f.reg)
 
@@ -154,7 +144,7 @@ def inf_to_inf(f: ExpFactor) -> ExpFactor:
         raise TransformsError(f"inf_to_inf needs slope > 1, got {slope(phi)}")
     p = phi.ram
     q = phi.terms[0][0]
-    polar = _audited_polar(list(phi.terms), p, -p, p - q, q - p, q + 2)
+    polar = _audited_polar(list(phi.terms), -p, p - q, q + 2)
     return ExpFactor(polar, f.reg)
 
 
@@ -172,7 +162,7 @@ def inf_to_finite(f: ExpFactor) -> tuple[CycloNum, ExpFactor]:
     if not tail:
         return c, ExpFactor(PolarPart.zero(), f.reg)
     qt = max(j for j, _ in tail)
-    polar = _audited_polar(tail, p, -p, p - qt, p - qt, p + qt + 2)
+    polar = _audited_polar(tail, -p, p - qt, p + qt + 2)
     return c, ExpFactor(polar, f.reg)
 
 

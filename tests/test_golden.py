@@ -12,11 +12,13 @@ positive rational radicand, whose endpoints stay exact fractions).
 """
 
 import io
+import json
 from pathlib import Path
 
 import pytest
 
-from rigidconn.cli import execute_command, print_problem
+from rigidconn.adk import normalize_problem
+from rigidconn.cli import execute_command, loc_str, polar_str, print_problem, problem_from_dict
 
 from helpers import fourpoint, hypergeometric, kloosterman
 
@@ -82,3 +84,30 @@ def test_golden_certificate(name, tmp_path):
     assert code == 0
     want = (GOLDEN / f"cert_{name}.json").read_text(encoding="utf-8")
     assert cert.read_text(encoding="utf-8") == want
+
+
+# The Kloosterman problem with its points 0 and inf moved elsewhere: the
+# Moebius step takes the ramified factor back to infinity, and its
+# leading coefficient picks up a square root of the move's derivative.
+MOVED_KLOOS = [
+    ("1", "z(3)", "-1*rt((-2/3 - 1/3*z(3)), 2)*t^(-1/2)"),
+    ("z(4)", "2", "-1*rt((2/5 + 1/5*z(4)), 2)*t^(-1/2)"),
+    ("3 + z(4)", "-1", "-1*rt((-4/17 + 1/17*z(4)), 2)*t^(-1/2)"),
+    (
+        "2*z(5)",
+        "z(8)",
+        "-1*rt((1920/61681 + 964/61681*z(40) - 30/61681*z(40)^2 + 3840/61681*z(40)^3"
+        " + 8/61681*z(40)^4 - 1024/61681*z(40)^5 + 7710/61681*z(40)^6 + 16/61681*z(40)^7"
+        " - 128/61681*z(40)^8 + 16384/61681*z(40)^9 + 2/61681*z(40)^10 - 256/61681*z(40)^11"
+        " + 30848/61681*z(40)^12 - 960/61681*z(40)^13 - 482/61681*z(40)^14 + 15/61681*z(40)^15), 2)*t^(-1/2)",
+    ),
+]
+
+
+@pytest.mark.parametrize("zero, inf, want", MOVED_KLOOS, ids=[f"{a}|{b}" for a, b, _ in MOVED_KLOOS])
+def test_moebius_transport_of_the_moved_kloosterman_problem(zero, inf, want):
+    d = json.loads((GOLDEN / "kloos.json").read_text(encoding="utf-8"))
+    d["points"][0]["loc"], d["points"][1]["loc"] = zero, inf
+    P, _ = normalize_problem(problem_from_dict(d))
+    got = {loc_str(loc): [polar_str(f.phi) for f in t.factors] for loc, t in P.points}
+    assert got == {"0": ["0"], "1": ["0"], "inf": [want]}

@@ -142,8 +142,9 @@ def test_under_resolved_series_is_rejected():
         polar_terms(Lser({-2: c(3)}, 0))
 
 
-@pytest.mark.parametrize("S, m", [(Lser({2: ONE}, 40), 1), (Lser({1: ONE}, 40), 0)])
+@pytest.mark.parametrize("S, m", [(Lser({2: ONE}, 40), 1), (Lser({1: ONE}, 40), 0), (Lser({1: 2}, 40), 1)])
 def test_solve_series_checks_its_leading_term(S, m):
+    # the leading term must be exactly w^m: a non-monic S is rejected
     with pytest.raises(SeriesNotCertified):
         solve_series(S, m, 6)
 

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import rigidconn
+from rigidconn import puiseux
+from rigidconn.cli import parse_polar, polar_str
 from rigidconn.cyclo import CycloNum
 from rigidconn.formal import INF, ExpFactor, FormalType, Location, Problem, RegularPart
 from rigidconn.linalg import mat
@@ -57,6 +59,47 @@ def test_local_leg_inf_to_finite_names_the_point():
     c, g = inf_to_finite(f)
     assert c == CycloNum.from_rational(3)
     assert g.phi.is_zero() and g.reg == RegularPart.single(F(1, 4))
+
+
+def _leg_at_zero(text):
+    return finite_to_inf(ZERO, ExpFactor(parse_polar(text), RegularPart.single(0)))
+
+
+def test_leg_series_stay_cyclotomic(monkeypatch):
+    # the leg's one root, rt(-3/2, 3), is taken after the series are
+    # solved, so no series that solve_series sees or returns carries it
+    seen = []
+    solve = puiseux.solve_series
+
+    def record(S, m, order):
+        u = solve(S, m, order)
+        seen.extend(list(S.terms.values()) + list(u.terms.values()))
+        return u
+
+    monkeypatch.setattr(puiseux, "solve_series", record)
+    _leg_at_zero("3*t^(-1/2)")
+    assert seen and all(isinstance(c, CycloNum) for c in seen)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("rt(2, 2)*t^(-1/2)", "-3/2*z(3)*rt(2, 3)^2*t^(-1/3)"),
+        (
+            # a dense part: five terms under one leading term
+            "t^(-5/2) + t^(-2) + t^(-3/2) + t^(-1) + t^(-1/2)",
+            "-7/10*z(7)*rt(2, 7)^5*rt(5, 7)^2*t^(-5/7)"
+            " + 1/5*z(7)^5*rt(2, 7)^4*rt(5, 7)^3*t^(-4/7)"
+            " - 27/175*z(7)^2*rt(2, 7)^3*rt(5, 7)^4*t^(-3/7)"
+            " + (-901/6125 - 901/6125*z(7) - 901/6125*z(7)^2 - 901/6125*z(7)^3 - 901/6125*z(7)^4"
+            " - 901/6125*z(7)^5)*rt(2, 7)^2*rt(5, 7)^5*t^(-2/7)"
+            " - 13201/85750*z(7)^3*rt(2, 7)*rt(5, 7)^6*t^(-1/7)",
+        ),
+    ],
+    ids=["radical", "dense"],
+)
+def test_finite_leg_output_is_pinned(text, want):
+    assert polar_str(_leg_at_zero(text).phi) == want
 
 
 def test_fourier_kloosterman_roundtrip():
