@@ -118,8 +118,7 @@ def _transport_polar(phi: PolarPart, src: Location, dst: Location, a, b, c, d) -
         return phi
     p = phi.ram
     q = phi.terms[0][0]
-    order = q + p + 4
-    big = order + p + 2  # all series here are only ever consumed to this order
+    big = p + q  # pullback_polar reads z' below z^(q+1), so w below z^(p+q)
     if src.is_inf:
         t = Lser({-p: CycloNum.one()}, big)
     else:
@@ -134,9 +133,9 @@ def _transport_polar(phi: PolarPart, src: Location, dst: Location, a, b, c, d) -
         raise InvariantViolation("Moebius image coordinate must vanish to order p")
     u0 = w.terms[p]
     rest = w.shift(-p).scale(cinv(u0)) - Lser.const(CycloNum.one(), big)
-    zprime = (binomial_pow(rest, Fraction(1, p), order).scale(croot(u0, p))).shift(1)
+    zprime = (binomial_pow(rest, Fraction(1, p), q).scale(croot(u0, p))).shift(1)
     phi_ser = Lser({-j: coeff for j, coeff in phi.terms}, big)
-    return PolarPart.make(p, pullback_polar(Lser(zprime.terms, order + 1), 1, phi_ser, order))
+    return PolarPart.make(p, pullback_polar(zprime, 1, phi_ser))
 
 
 # -- step records ----------------------------------------------------

@@ -6,14 +6,13 @@ regular factors.  Normal form divides out common factors of p and the
 exponent numerators, so stored parts are minimal or zero.
 
 Truncated Laurent series (Lser) carry the stationary-phase legs of the
-Fourier transform and the Moebius transport, and only this module
-evaluates, inverts and reads them: substitute evaluates S(u),
-binomial_pow gives (1 + h)^e (behind Lser.inverse and the Moebius p-th
-root), polar_terms reads off a polar part, solve_series inverts a monic
-series by Newton iteration over the field of its coefficients, and
+Fourier transform and the Moebius transport: binomial_pow gives
+(1 + h)^e (behind Lser.inverse and the Moebius p-th root), and
 pullback_polar, the one entry point of the legs and the transport,
-takes the one root of the leading coefficient at the boundary.  A failed
-check raises SeriesNotCertified.
+reads the polar part of phi(u) along S(u) = w^m by Lagrange inversion,
+taking the one root of S's leading coefficient at the boundary.  A
+coefficient read at or beyond a series' truncation, or a malformed S,
+raises SeriesNotCertified.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .errors import RigidconnError
 from .radicals import (
     RadicalCoeff,
     cadd,
-    ceq,
     cinv,
     cis_zero,
     cmul,
@@ -236,6 +234,10 @@ class Lser:
     def scale(self, c) -> "Lser":
         return Lser({k: cmul(v, c) for k, v in self.terms.items()}, self.trunc)
 
+    def truncate(self, n: int) -> "Lser":
+        """self below w^n (or below its own truncation, if that is lower)."""
+        return Lser(self.terms, min(self.trunc, n))
+
     def shift(self, d: int) -> "Lser":
         return Lser({k + d: c for k, c in self.terms.items()}, self.trunc + d)
 
@@ -249,26 +251,11 @@ class Lser:
         rest = Lser({k - v: cmul(c, inv_lead) for k, c in self.terms.items() if k != v}, self.trunc - v)
         return binomial_pow(rest, -1, self.trunc - v).scale(inv_lead).shift(-v)
 
-    def pow(self, k: int) -> "Lser":
-        """self^k for k >= 0, by repeated squaring."""
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return Lser.const(CycloNum.one(), self.trunc) if result is None else result
-
-    def __eq__(self, other):
-        t = min(self.trunc, other.trunc)
-        keys = set(self.terms) | set(other.terms)
-        return all(
-            ceq(self.terms.get(k, CycloNum.zero()), other.terms.get(k, CycloNum.zero()))
-            for k in keys
-            if k < t
-        )
+    def coeff(self, k: int):
+        """The coefficient of w^k, which must be certified."""
+        if k >= self.trunc:
+            raise SeriesNotCertified(f"series under-resolved: w^{k} read, certified below w^{self.trunc} only")
+        return self.terms.get(k, CycloNum.zero())
 
     def __repr__(self):
         body = " + ".join(f"({self.terms[k]!r})w^{k}" for k in sorted(self.terms))
@@ -281,75 +268,41 @@ def binomial_pow(h: Lser, e, order: int) -> Lser:
     k = 0
     while True:
         k += 1
-        term = (term * h).scale(Fraction(e - k + 1, k))
+        term = (term * h).truncate(order).scale(Fraction(e - k + 1, k))
         if term.is_zero() or term.valuation() >= order:
             return acc
         acc = acc + term
 
 
-def substitute(S: Lser, u: Lser, trunc: int) -> Lser:
-    """S(u) = sum_k c_k u^k to w^trunc, for u of valuation 1.  u is
-    inverted at most once; each power of u (or of 1/u) is the previous
-    one times a power of the base."""
-    out = Lser({}, trunc)
-    if 0 in S.terms:
-        out = out + Lser.const(S.terms[0], u.trunc)
-    for sign in (1, -1):
-        ks = sorted(sign * k for k in S.terms if sign * k > 0)
-        if not ks:
-            continue
-        base = u if sign > 0 else u.inverse()
-        e, power = ks[0], base.pow(ks[0])
-        for k in ks:
-            if k > e:
-                e, power = k, power * base.pow(k - e)
-            out = out + power.scale(S.terms[sign * k])
-    return Lser(out.terms, min(out.trunc, trunc))
+def pullback_polar(S: Lser, m: int, phi: Lser) -> dict:
+    """{j: c} for the terms c w^(-j) of phi(u), u solving S(u) = w^m.
 
-
-def polar_terms(W: Lser) -> dict:
-    """{j: c} for the terms c w^(-j) of W; W must be certified through
-    w^0, or its polar part is not known."""
-    if W.trunc < 1:
-        raise SeriesNotCertified(f"series under-resolved: certified below w^{W.trunc} only")
-    return {-k: c for k, c in W.terms.items() if k < 0}
-
-
-def solve_series(S: Lser, m: int, order: int) -> Lser:
-    """Solve S(u) = w^m for u = w + O(w^2) by Newton iteration, S monic
-    of valuation m != 0 (so no root is taken); certified to w^order."""
-    if m == 0 or S.valuation() != m or S.terms[m] != 1:
-        raise SeriesNotCertified(f"solve_series needs m != 0 and S monic of valuation m, got m = {m}")
-    u = Lser({1: CycloNum.one()}, 2)
-    target_known = 1
-    Sd = Lser({k - 1: cmul(c, Fraction(k)) for k, c in S.terms.items()}, S.trunc - 1)
-    while target_known < order:
-        target_known = min(2 * target_known, order)
-        u = Lser(u.terms, target_known + 1)
-        Su = substitute(S, u, target_known + m)
-        F = Su - Lser({m: CycloNum.one()}, Su.trunc)
-        if F.is_zero():
-            continue
-        Sdu = substitute(Sd, u, F.trunc - 1)
-        u = Lser((u - F * Sdu.inverse()).terms, target_known + 1)
-    # certification: back-substitute
-    if substitute(S, u, order + m) != Lser({m: CycloNum.one()}, order + m):
-        raise SeriesNotCertified("series inversion failed back-substitution")
-    return u
-
-
-def pullback_polar(S: Lser, m: int, phi: Lser, order: int) -> dict:
-    """{j: c} for the terms c w^(-j) of phi(u), u solving S(u) = w^m: u(w)
-    is U(lam w), U solving the monic S/c_m = x^m and lam^m = 1/c_m, as a
-    series with a fixed leading term is unique; lam is the one root taken."""
-    c_m = S.terms.get(m, 1)  # a missing lead fails in solve_series
+    Write S = c_m u^m (1 + h(u)) and lam^m = 1/c_m, lam the one root taken.
+    Then u(w) = U(lam w), where U = x + O(x^2) solves U^m (1 + h(U)) = x^m,
+    and Lagrange inversion gives the terms d_j x^(-j) of phi(U) in closed form:
+    d_j = -(1/j) [u^(-j-1)] phi'(u) B(u)^j with B = (1 + h)^(1/m).  Only
+    B^j below u^(q-j+1) is read, q the pole order of phi; the result is
+    d_j lam^(-j)."""
+    if m == 0 or S.is_zero() or S.valuation() != m:
+        raise SeriesNotCertified(f"pullback_polar needs m != 0 and S of valuation m, got m = {m}")
+    if phi.trunc < 0:
+        raise SeriesNotCertified(f"series under-resolved: certified below w^{phi.trunc} only")
+    c_m = S.terms[m]
     inv_lead = cinv(c_m)
     lam = croot(inv_lead, m) if m > 0 else croot(c_m, -m)
-    U = solve_series(S.scale(inv_lead), m, order)
-    polar = polar_terms(substitute(phi, U, phi.trunc))
-    lam_inv, power, out = cinv(lam), CycloNum.one(), {}
-    for j in range(1, max(polar, default=0) + 1):
+    h = Lser({k - m: cmul(c, inv_lead) for k, c in S.terms.items() if k != m}, S.trunc - m)
+    # i*a_i for the terms a_i u^(-i) of phi: -phi' has them at u^(-i-1)
+    ia = {-k: cmul(c, Fraction(-k)) for k, c in phi.terms.items() if k < 0}
+    q = max(ia, default=0)
+    B = binomial_pow(h, Fraction(1, m), q)
+    lam_inv, power, Bj, out = cinv(lam), CycloNum.one(), Lser.const(CycloNum.one(), q), {}
+    for j in range(1, q + 1):
         power = cmul(power, lam_inv)
-        if j in polar:
-            out[j] = cmul(polar[j], power)
+        Bj = Bj.truncate(q - j + 1) * B  # B^j below u^(q-j+1)
+        d = CycloNum.zero()
+        for i, c in ia.items():
+            if i >= j:
+                d = cadd(d, cmul(c, Bj.coeff(i - j)))
+        if not cis_zero(d):
+            out[j] = cmul(cmul(d, Fraction(1, j)), power)
     return out

@@ -7,8 +7,9 @@ same engine composed with the coordinate sign flip t -> -t.
 
 Each stationary-phase leg writes s = d(phi)/dt on the cover t = z^e,
 and the critical value phi - t*s as one Laurent polynomial: a*z^(-j)
-in phi becomes (1 + j/e)*a*z^(-j).  One pullback_polar call solves
-s(u) = w^m and reads the polar part of the critical value at u.
+in phi becomes (1 + j/e)*a*z^(-j).  One pullback_polar call reads the
+polar part of the critical value at u solving s(u) = w^m, in closed
+form; the output ramification is |m|.
 Regular-part data (exponents mod 1, Jordan block sizes) pass through
 unchanged: exact for the slope-zero legs, where t@ - a -> tau@ + (a+1)
 is the identity modulo 1; ramified legs use the same rule, guarded by
@@ -45,7 +46,7 @@ from .linalg import (
     mat_sub,
     quotient_action,
 )
-from .puiseux import Lser, PolarPart, SeriesNotCertified, cmul, polar_add, polar_neg, pullback_polar, slope
+from .puiseux import Lser, PolarPart, cmul, polar_add, polar_neg, pullback_polar, slope
 from .rigidity import rig_index
 
 
@@ -106,22 +107,14 @@ def twist_global(P: Problem, L: RankOneData) -> Problem:
 _BIG = 10**6  # truncation marker for exact Laurent polynomials
 
 
-def _critical_value_polar(phi_terms, e: int, m: int, order: int) -> dict:
-    """Polar part (in w) of the critical value phi - t*s at u solving s(u) = w^m,
-    s = d(phi)/dt on the cover t = z^e (e = p at a finite point, -p at infinity):
-    a*z^(-j) in phi gives s the term -(j/e)*a*z^(-j-e), phi - t*s (1 + j/e)*a*z^(-j)."""
+def _critical_value_polar(phi_terms, e: int, m: int) -> PolarPart:
+    """Polar part (in w, ramification |m|) of the critical value phi - t*s at u
+    solving s(u) = w^m, s = d(phi)/dt on the cover t = z^e (e = p at a finite
+    point, -p at infinity): a*z^(-j) in phi gives s the term -(j/e)*a*z^(-j-e),
+    phi - t*s (1 + j/e)*a*z^(-j)."""
     s = Lser({-j - e: cmul(a, Fraction(-j, e)) for j, a in phi_terms}, _BIG)
     value = Lser({-j: cmul(a, 1 + Fraction(j, e)) for j, a in phi_terms}, _BIG)
-    return pullback_polar(s, m, value, order)
-
-
-def _audited_polar(phi_terms, e, m, order) -> PolarPart:
-    """Run the inversion at two truncations, which must agree; the output ramification is |m|."""
-    d1 = _critical_value_polar(phi_terms, e, m, order)
-    d2 = _critical_value_polar(phi_terms, e, m, 2 * order)
-    if d1 != d2:
-        raise SeriesNotCertified("truncation audit failed in stationary phase")
-    return PolarPart.make(abs(m), d2)
+    return PolarPart.make(abs(m), pullback_polar(s, m, value))
 
 
 def finite_to_inf(x: CycloNum, f: ExpFactor) -> ExpFactor:
@@ -132,7 +125,7 @@ def finite_to_inf(x: CycloNum, f: ExpFactor) -> ExpFactor:
         return ExpFactor(polar, f.reg)
     p = phi.ram
     q = phi.terms[0][0]
-    polar = _audited_polar(list(phi.terms), p, -(p + q), p + q + 2)
+    polar = _critical_value_polar(list(phi.terms), p, -(p + q))
     # the -x*t part of the exponent: -x*tau
     return ExpFactor(polar_add(polar, PolarPart.make(1, [(1, -x)])), f.reg)
 
@@ -144,7 +137,7 @@ def inf_to_inf(f: ExpFactor) -> ExpFactor:
         raise TransformsError(f"inf_to_inf needs slope > 1, got {slope(phi)}")
     p = phi.ram
     q = phi.terms[0][0]
-    polar = _audited_polar(list(phi.terms), -p, p - q, q + 2)
+    polar = _critical_value_polar(list(phi.terms), -p, p - q)
     return ExpFactor(polar, f.reg)
 
 
@@ -162,7 +155,7 @@ def inf_to_finite(f: ExpFactor) -> tuple[CycloNum, ExpFactor]:
     if not tail:
         return c, ExpFactor(PolarPart.zero(), f.reg)
     qt = max(j for j, _ in tail)
-    polar = _audited_polar(tail, -p, p - qt, p + qt + 2)
+    polar = _critical_value_polar(tail, -p, p - qt)
     return c, ExpFactor(polar, f.reg)
 
 

@@ -355,14 +355,14 @@ def test_cmd_fourier(files):
 
 
 def test_cmd_fourier_failed_series_check_exits_2(files, monkeypatch):
-    from rigidconn import transforms
+    from rigidconn import puiseux
 
-    polar = transforms._critical_value_polar
-    # the audit's two truncations now disagree in a pole of order `order`
-    monkeypatch.setattr(transforms, "_critical_value_polar", lambda *a: {**polar(*a), a[-1]: CycloNum.one()})
+    power = puiseux.binomial_pow
+    # (1 + h)^(1/m) now comes one order short of what the legs read
+    monkeypatch.setattr(puiseux, "binomial_pow", lambda h, e, order: power(h, e, order - 1))
     code, out, err = run(["fourier", files["kloos"]])
     assert code == EXIT_INPUT and out == ""
-    assert err == "error: truncation audit failed in stationary phase\n"
+    assert err == "error: series under-resolved: w^0 read, certified below w^0 only\n"
 
 
 def test_cmd_mc(files):

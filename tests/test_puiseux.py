@@ -1,8 +1,10 @@
-"""Polar parts, Galois orbits, and certified series inversion."""
+"""Polar parts, Galois orbits, and polar parts pulled back along series."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from rigidconn.cyclo import CycloNum
 from rigidconn.puiseux import (
@@ -18,14 +20,13 @@ from rigidconn.puiseux import (
     orbit,
     polar_add,
     polar_neg,
-    polar_terms,
     slope,
-    solve_series,
-    substitute,
+    pullback_polar,
 )
 
 F = Fraction
 ONE = CycloNum.one()
+ZERO = CycloNum.zero()
 
 
 def c(q) -> CycloNum:
@@ -84,69 +85,141 @@ def test_ramify_is_pullback():
 def test_lser_inverse():
     a = Lser({0: ONE, 1: c(1)}, 8)  # 1 + w
     inv = a.inverse()
-    assert (a * inv) == Lser.const(ONE, 8)
+    prod = a * inv
+    assert prod.terms == {0: ONE} and prod.trunc == 8
     # geometric series coefficients
     assert inv.terms[3] == c(-1)
-
-
-def test_solve_series_catalan():
-    # w = u + u^2  =>  u = w - w^2 + 2 w^3 - 5 w^4 + ...
-    S = Lser({1: ONE, 2: ONE}, 50)
-    u = solve_series(S, 1, 6)
-    assert u.terms[1] == ONE
-    assert u.terms[2] == c(-1)
-    assert u.terms[3] == c(2)
-    assert u.terms[4] == c(-5)
-    assert u.terms[5] == c(14)
-
-
-def test_solve_series_square():
-    # u^2 = w^2  =>  u = w
-    u = solve_series(Lser({2: ONE}, 40), 2, 6)
-    assert u == Lser({1: ONE}, 7)
-    assert u.terms[1] == ONE
-
-
-def test_solve_series_identity():
-    u = solve_series(Lser({1: ONE}, 40), 1, 6)
-    assert u == Lser({1: ONE}, 7)
-    assert u.terms[1] == ONE
 
 
 def test_binomial_pow_square_root_squares_back():
     h = Lser({1: c(3), 2: c(-1)}, 10)  # 1 + h = 1 + 3w - w^2
     root = binomial_pow(h, F(1, 2), 10)
-    assert root * root == Lser.const(ONE, 10) + h
+    square = root * root
+    assert square.terms == (Lser.const(ONE, 10) + h).terms and square.trunc == 10
     assert root.trunc == 10
 
 
-def test_substitute_matches_term_by_term_powers():
-    # S(u) for u = w + 2 w^2 with terms on both sides of w^0
-    u = Lser({1: ONE, 2: c(2)}, 12)
-    S = Lser({-3: c(2), -1: c(-1), 0: c(5), 2: c(7)}, 40)
-    ui = u.inverse()
-    want = ui.pow(3).scale(c(2)) + ui.scale(c(-1)) + Lser.const(c(5), 12) + u.pow(2).scale(c(7))
-    got = substitute(S, u, 8)
-    assert got.trunc == min(want.trunc, 8)
-    assert got == want
+def _pole(k: int) -> Lser:
+    """u^(-k), exact through u^0."""
+    return Lser({-k: ONE}, 1)
 
 
-def test_polar_terms_of_a_resolved_series():
-    W = Lser({-2: c(3), -1: c(-1), 0: c(4), 3: ONE}, 5)
-    assert polar_terms(W) == {2: c(3), 1: c(-1)}
+def test_pullback_polar_catalan():
+    # w = u + u^2  =>  u = w - w^2 + 2 w^3 - 5 w^4 + 14 w^5 - ..., and
+    # u^(-k) = w^(-k) (1 + u)^k has these polar terms (the w^-1 term of
+    # u^(-3) cancels: 3*(-1) + 3*1 = 0)
+    S = Lser({1: ONE, 2: ONE}, 50)
+    assert pullback_polar(S, 1, _pole(1)) == {1: ONE}
+    assert pullback_polar(S, 1, _pole(2)) == {2: ONE, 1: c(2)}
+    assert pullback_polar(S, 1, _pole(3)) == {3: ONE, 2: c(3)}
+
+
+def test_solve_series_square():
+    # u^2 = w^2  =>  u = w, so each u^(-k) pulls back to w^(-k) alone
+    for k in range(1, 7):
+        assert pullback_polar(Lser({2: ONE}, 40), 2, _pole(k)) == {k: ONE}
+
+
+def test_solve_series_identity():
+    # u = w: every u^(-k) pulls back to itself
+    for k in range(1, 7):
+        assert pullback_polar(Lser({1: ONE}, 40), 1, _pole(k)) == {k: ONE}
+
+
+def test_pullback_polar_of_a_monomial():
+    # 4 u^2 = w^2 gives u = w/2, and 3/u = 1/w gives u = 3 w
+    assert pullback_polar(Lser({2: c(4)}, 40), 2, _pole(1)) == {1: c(2)}
+    assert pullback_polar(Lser({-1: c(3)}, 40), -1, _pole(2)) == {2: c(F(1, 9))}
 
 
 def test_under_resolved_series_is_rejected():
-    # certified only below w^0: the w^-1 coefficient is not known yet
+    # u^(-3) needs S through w^3; S = u + u^2 + O(u^3) is known below w^3 only
     with pytest.raises(SeriesNotCertified, match="under-resolved"):
-        polar_terms(Lser({-2: c(3)}, 0))
+        pullback_polar(Lser({1: ONE, 2: ONE}, 3), 1, _pole(3))
+    # certified only below w^-1: the w^-1 coefficient of phi is not known
+    with pytest.raises(SeriesNotCertified, match="under-resolved"):
+        pullback_polar(Lser({1: ONE}, 40), 1, Lser({-2: c(3)}, -1))
 
 
-@pytest.mark.parametrize("S, m", [(Lser({2: ONE}, 40), 1), (Lser({1: ONE}, 40), 0), (Lser({1: 2}, 40), 1)])
-def test_solve_series_checks_its_leading_term(S, m):
-    # the leading term must be exactly w^m: a non-monic S is rejected
-    with pytest.raises(SeriesNotCertified):
-        solve_series(S, m, 6)
+@pytest.mark.parametrize(
+    "S, m",
+    [(Lser({2: ONE}, 40), 1), (Lser({1: ONE}, 40), 0), (Lser({}, 40), 1)],
+    ids=["valuation", "m=0", "zero"],
+)
+def test_pullback_polar_checks_its_leading_term(S, m):
+    # S must be nonzero with its leading term at w^m, m != 0
+    with pytest.raises(SeriesNotCertified, match="valuation m"):
+        pullback_polar(S, m, _pole(1))
+
+
+# -- reference: fixed point with naive substitution -------------------
+
+
+def _mul(a: dict, b: dict, n: int) -> dict:
+    out: dict = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            if i + j < n:
+                out[i + j] = out.get(i + j, ZERO) + x * y
+    return out
+
+
+def _binom(y: dict, e: F, n: int) -> dict:
+    """(1 + y)^e mod x^n, y of positive valuation."""
+    out, term = {0: ONE}, {0: ONE}
+    for k in range(1, n):
+        term = {i: t * c(F(e - k + 1, k)) for i, t in _mul(term, y, n).items()}
+        for i, t in term.items():
+            out[i] = out.get(i, ZERO) + t
+    return out
+
+
+def _reference_polar(h: dict, m: int, phi: dict) -> dict:
+    """Polar terms of sum_i phi[i] U^(-i), U = x V solving U^m (1 + h(U)) = x^m,
+    from the fixed point V = (1 + h(x V))^(-1/m) mod x^q: each round fixes one
+    more coefficient of V."""
+    q = max(phi)
+    V = {0: ONE}
+    for _ in range(q):
+        xV = {k + 1: v for k, v in V.items()}
+        hU, power = {}, {0: ONE}
+        for k in range(1, max(h, default=0) + 1):
+            power = _mul(power, xV, q)
+            for i, v in power.items():
+                hU[i] = hU.get(i, ZERO) + h.get(k, ZERO) * v
+        V = _binom(hU, F(-1, m), q)
+    V_inv = _binom({k: v for k, v in V.items() if k}, F(-1), q)
+    out, power = {}, {0: ONE}
+    for i in range(1, q + 1):
+        power = _mul(power, V_inv, q)  # V^(-i)
+        if i in phi:
+            for k, v in power.items():
+                if k < i:
+                    out[i - k] = out.get(i - k, ZERO) + phi[i] * v
+    return {j: d for j, d in out.items() if not d.is_zero()}
+
+
+def _cyclo_terms(top: int):
+    coeff = st.builds(
+        lambda a, n, k: c(a) * CycloNum.zeta(n, k),
+        st.sampled_from([F(1), F(-2), F(1, 3)]),
+        st.sampled_from([1, 3, 4]),
+        st.integers(0, 3),
+    )
+    return st.dictionaries(st.integers(1, top), coeff, max_size=top)
+
+
+@seed(0)
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, -1, -2, -3]),
+    _cyclo_terms(3),
+    _cyclo_terms(3).filter(bool),
+)
+def test_pullback_polar_matches_fixed_point_reference(m, h, phi):
+    S = Lser({m: ONE, **{m + k: v for k, v in h.items()}}, 40)
+    got = pullback_polar(S, m, Lser({-i: v for i, v in phi.items()}, 1))
+    assert got == _reference_polar(h, m, phi)
 
 
 @pytest.mark.parametrize("j", [0, -1])

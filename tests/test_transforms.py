@@ -66,17 +66,17 @@ def _leg_at_zero(text):
 
 
 def test_leg_series_stay_cyclotomic(monkeypatch):
-    # the leg's one root, rt(-3/2, 3), is taken after the series are
-    # solved, so no series that solve_series sees or returns carries it
+    # the leg's one root, rt(-3/2, 3), is taken after the polar part is
+    # read, so no series that binomial_pow sees or returns carries it
     seen = []
-    solve = puiseux.solve_series
+    power = puiseux.binomial_pow
 
-    def record(S, m, order):
-        u = solve(S, m, order)
-        seen.extend(list(S.terms.values()) + list(u.terms.values()))
-        return u
+    def record(h, e, order):
+        out = power(h, e, order)
+        seen.extend(list(h.terms.values()) + list(out.terms.values()))
+        return out
 
-    monkeypatch.setattr(puiseux, "solve_series", record)
+    monkeypatch.setattr(puiseux, "binomial_pow", record)
     _leg_at_zero("3*t^(-1/2)")
     assert seen and all(isinstance(c, CycloNum) for c in seen)
 
@@ -95,11 +95,39 @@ def test_leg_series_stay_cyclotomic(monkeypatch):
             " - 901/6125*z(7)^5)*rt(2, 7)^2*rt(5, 7)^5*t^(-2/7)"
             " - 13201/85750*z(7)^3*rt(2, 7)*rt(5, 7)^6*t^(-1/7)",
         ),
+        (
+            # fourteen terms: sum_{j <= 14} t^(-j/2)
+            " + ".join(f"t^(-{j}/2)" for j in range(14, 0, -1)),
+            "-8/7*z(16)*rt(7, 8)*t^(-7/8)"
+            " - 1/7*z(32)^3*rt(7, 16)^3*t^(-13/16)"
+            " - 279/3136*z(8)*rt(7, 4)*t^(-3/4)"
+            " - 50237/702464*z(32)^5*rt(7, 16)^5*t^(-11/16)"
+            " - 1445027/22478848*z(16)^3*rt(7, 8)^3*t^(-5/8)"
+            " - 8679167739/140987334656*z(32)^7*rt(7, 16)^7*t^(-9/16)"
+            " - 135270517/2202927104*z(4)*rt(7, 2)*t^(-1/2)"
+            " - 6240729212198335/99038527051792384*z(32)^9*rt(7, 16)^9*t^(-7/16)"
+            " - 26154789239273085/396154108207169536*z(16)^5*rt(7, 8)^5*t^(-3/8)"
+            " - 399110916063403936851/5679265295257982468096*z(32)^11*rt(7, 16)^11*t^(-5/16)"
+            " - 2940069741554410777/38823102604302614528*z(8)^3*rt(7, 4)^3*t^(-1/4)"
+            " - 6709866967469074885999893/81417947272818436662624256*z(32)^13*rt(7, 16)^13*t^(-3/16)"
+            " - 6440093561543595172043343/71240703863716132079796224*z(16)^7*rt(7, 8)^7*t^(-1/8)"
+            " - 232985169355548310009484470303/2334415384206250215990762668032*z(32)^15*rt(7, 16)^15*t^(-1/16)",
+        ),
     ],
-    ids=["radical", "dense"],
+    ids=["radical", "dense", "dense14"],
 )
 def test_finite_leg_output_is_pinned(text, want):
     assert polar_str(_leg_at_zero(text).phi) == want
+
+
+def test_infinite_leg_outputs_are_pinned():
+    # a ramified slope-3/2 part with a tail leaves infinity for infinity
+    f = ExpFactor(parse_polar("z(3)*t^(-3/2) - t^(-1) + t^(-1/2)"), RegularPart.single(0))
+    want = "-4/27*z(3)*t^(-3) - 4/9*z(3)*t^(-2) + (-2/3 - 10/9*z(3))*t^(-1)"
+    assert polar_str(inf_to_inf(f).phi) == want
+    # the linear head 3*t names the point 3; the ramified tail t^(-1/3) lands there
+    c, g = inf_to_finite(ExpFactor(parse_polar("3*t^(-1) + t^(-1/3)"), RegularPart.single(0)))
+    assert c == CycloNum.from_rational(3) and polar_str(g.phi) == "2/9*rt(3, 2)*t^(-1/2)"
 
 
 def test_fourier_kloosterman_roundtrip():
@@ -201,18 +229,17 @@ def test_mc_invariant_checks_survive_optimized_mode():
 
 
 def test_series_checks_survive_optimized_mode():
-    # under python -O the truncation audit of the stationary-phase legs
+    # under python -O the truncation check of the stationary-phase legs
     # must still fail, and replay must report it as a mismatch
     script = textwrap.dedent(
         """
         from pathlib import Path
-        from rigidconn import adk, transforms
+        from rigidconn import adk, puiseux
         from rigidconn.cli import parse_certificate
-        from rigidconn.cyclo import CycloNum
 
-        polar = transforms._critical_value_polar
-        # the audit's two truncations now disagree in a pole of order `order`
-        transforms._critical_value_polar = lambda *a: {**polar(*a), a[-1]: CycloNum.one()}
+        power = puiseux.binomial_pow
+        # (1 + h)^(1/m) now comes one order short of what the legs read
+        puiseux.binomial_pow = lambda h, e, order: power(h, e, order - 1)
         cert = parse_certificate(Path(GOLDEN, "cert_kloos.json").read_text(encoding="utf-8"))
         try:
             adk.replay_certificate(cert)
@@ -231,4 +258,4 @@ def test_series_checks_survive_optimized_mode():
         timeout=120,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "False step 1 (fourier) failed to invert: truncation audit failed in stationary phase\n"
+    assert res.stdout == "False step 1 (fourier) failed to invert: series under-resolved: w^0 read, certified below w^0 only\n"
