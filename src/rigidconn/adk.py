@@ -291,14 +291,8 @@ def _exponents_at(t: FormalType) -> list[Fraction]:
 
 
 def _unramified_heads(factors) -> list[PolarPart]:
-    out = []
-    for f in factors:
-        if not f.phi.is_zero():
-            h = unramified_head(f.phi)
-            if not h.is_zero() and not any(h == g for g in out):
-                out.append(h)
-    out.sort(key=lambda g: g.sort_key())
-    return out
+    heads = {unramified_head(f.phi) for f in factors} - {PolarPart.zero()}
+    return sorted(heads, key=PolarPart.sort_key)
 
 
 def reduce_step(P: Problem):

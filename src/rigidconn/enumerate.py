@@ -66,13 +66,8 @@ def _regular_parts(s: int, N: int):
 def _canonical_pool(phi_pool) -> list[PolarPart]:
     """Distinct canonical orbit representatives of the pool plus the
     regular factor, in canonical order."""
-    reps = [PolarPart.zero()]
-    for phi in phi_pool:
-        rep = canonical_rep(phi)
-        if not any(rep == q for q in reps):
-            reps.append(rep)
-    reps.sort(key=lambda q: q.sort_key())
-    return reps
+    reps = {PolarPart.zero()} | {canonical_rep(phi) for phi in phi_pool}
+    return sorted(reps, key=PolarPart.sort_key)
 
 
 def _types_of_rank(reps: list[PolarPart], r: int, N: int):

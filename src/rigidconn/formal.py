@@ -126,20 +126,17 @@ class FormalType:
     @staticmethod
     def make(factors) -> "FormalType":
         """Canonicalize phis, merge factors on equal orbits, sort."""
-        merged: list[tuple[PolarPart, RegularPart]] = []
+        merged: dict[PolarPart, RegularPart] = {}
         for f in factors:
             if isinstance(f, ExpFactor):
                 phi, reg = f.phi, f.reg
             else:
                 phi, reg = f
             rep = canonical_rep(phi)
-            for i, (p2, r) in enumerate(merged):
-                if p2 == rep:
-                    merged[i] = (p2, RegularPart.make(r.blocks + reg.blocks))
-                    break
-            else:
-                merged.append((rep, reg))  # kept unless another factor merges into it
-        out = [ExpFactor(phi, reg) for phi, reg in merged]
+            if rep in merged:
+                reg = RegularPart.make(merged[rep].blocks + reg.blocks)
+            merged[rep] = reg
+        out = [ExpFactor(phi, reg) for phi, reg in merged.items()]
         out.sort(key=lambda f: (f.phi.sort_key(), f.reg.blocks))
         if not out:
             raise FormalError("formal type must have at least one factor")

@@ -93,7 +93,8 @@ class PolarPart:
         return CycloNum.zero()
 
     def sort_key(self):
-        return tuple((-j, csort_key(c)) for j, c in self.terms) or ((0, ()),)
+        # ram breaks the tie between parts that differ only in it
+        return tuple((-j, csort_key(c)) for j, c in self.terms) or ((0, ()),), self.ram
 
     def __repr__(self):
         if self.is_zero():
@@ -119,9 +120,9 @@ def is_minimal(phi: PolarPart) -> bool:
     return g == 1
 
 
-def _raw_ramify(phi: PolarPart, q: int):
+def _raw_ramify(phi: PolarPart, q: int) -> dict:
     """Exponent map at level ram*q without normal-form reduction."""
-    return phi.ram * q, {j * q: c for j, c in phi.terms}
+    return {j * q: c for j, c in phi.terms}
 
 
 def galois_act(phi: PolarPart, m: int) -> PolarPart:
@@ -154,8 +155,8 @@ def diff_pole_order(phi: PolarPart, psi: PolarPart, level: int | None = None) ->
     e = level or math.lcm(phi.ram, psi.ram)
     if e % phi.ram or e % psi.ram:
         raise PuiseuxError(f"level {e} is not a common ramification of {phi.ram} and {psi.ram}")
-    _, m1 = _raw_ramify(phi, e // phi.ram)
-    _, m2 = _raw_ramify(psi, e // psi.ram)
+    m1 = _raw_ramify(phi, e // phi.ram)
+    m2 = _raw_ramify(psi, e // psi.ram)
     diff = dict(m1)
     for j, c in m2.items():
         diff[j] = csub(diff.get(j, CycloNum.zero()), c)
@@ -165,8 +166,8 @@ def diff_pole_order(phi: PolarPart, psi: PolarPart, level: int | None = None) ->
 
 def polar_add(phi: PolarPart, psi: PolarPart) -> PolarPart:
     e = math.lcm(phi.ram, psi.ram)
-    _, m1 = _raw_ramify(phi, e // phi.ram)
-    _, m2 = _raw_ramify(psi, e // psi.ram)
+    m1 = _raw_ramify(phi, e // phi.ram)
+    m2 = _raw_ramify(psi, e // psi.ram)
     for j, c in m2.items():
         m1[j] = cadd(m1.get(j, CycloNum.zero()), c)
     return PolarPart.make(e, m1)

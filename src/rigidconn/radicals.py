@@ -4,14 +4,14 @@ Stationary-phase inversion extracts fractional-power roots of leading
 coefficients; those roots live here as formal monomials b^e, each
 factor naming its radicand b by value.  Monomials with integer exponents
 fold back into the cyclotomic coefficient, so a RadicalCoeff with no
-genuine radical content collapses to a plain CycloNum, and == on a
-RadicalCoeff compares values.
+genuine radical content collapses to a plain CycloNum.  A RadicalCoeff
+is in normal form, so == compares structure and values hash.
 
-Radicands are registered in a tower, which takes them to be
-multiplicatively independent modulo roots of unity: registration checks
-pairwise perfect-power relations up to exponent 16 and rewrites a
-radicand over the other when it finds one.  Only this module reads the
-tower.
+A radicand is the value croot was given, or one of its rational primes,
+and it is never rewritten: the branch of croot(c, n) depends on (c, n)
+alone.  Radicands are taken to be multiplicatively independent modulo
+roots of unity, so two radicals equal only through a power relation
+between their radicands compare unequal.
 """
 
 from __future__ import annotations
@@ -23,44 +23,22 @@ from fractions import Fraction
 from .cyclo import CycloNum, _positive_rational_angle, embed
 from .errors import RigidconnError
 
-POWER_RELATION_BOUND = 16
-
 
 class RadicalError(RigidconnError):
     pass
 
 
 class RadicalTower:
-    """Registry of radicands: entries maps every radicand a monomial may
-    name to (base, k) with radicand = base^k, a base to (base, 1)."""
+    """The radicands named so far, in first-use order, counted by traced
+    benchmark runs.  A monomial holds its radicands by value, so no
+    computation reads them back from here."""
 
     def __init__(self):
-        self.entries: dict[CycloNum, tuple[CycloNum, int]] = {}
+        self.entries: dict[CycloNum, None] = {}
 
-    def register(self, c: CycloNum) -> tuple[CycloNum, int]:
-        """Return (base, k) with c = base^k."""
-        if c.is_zero():
-            raise RadicalError("zero radicand")
-        bases = [r for r, (base, _) in self.entries.items() if base == r]
-        for b in bases:
-            acc = b
-            for j in range(1, POWER_RELATION_BOUND + 1):
-                if acc == c:
-                    return b, j
-                acc = acc * b
-        for b in bases:
-            acc = c
-            for j in range(2, POWER_RELATION_BOUND + 1):
-                acc = acc * c
-                if acc == b:
-                    # b = c^j: whatever lay over b now lies over c
-                    for r, (base, k) in self.entries.items():
-                        if base == b:
-                            self.entries[r] = (c, k * j)
-                    self.entries[c] = (c, 1)
-                    return c, 1
-        self.entries[c] = (c, 1)
-        return c, 1
+    def register(self, c: CycloNum) -> CycloNum:
+        self.entries.setdefault(c)
+        return c
 
 
 TOWER = RadicalTower()
@@ -69,7 +47,7 @@ TOWER = RadicalTower()
 Monomial = tuple[tuple[CycloNum, Fraction], ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RadicalCoeff:
     """CycloNum-linear combination of radical monomials prod b_i^{e_i},
     exponents in (0,1), in normal form."""
@@ -99,32 +77,21 @@ class RadicalCoeff:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other):
-        if not isinstance(other, (RadicalCoeff, CycloNum, int, Fraction)):
-            return NotImplemented
-        return ceq(self, other)
-
     def __repr__(self):
         return f"RadicalCoeff({self.terms!r})"
-
-    # unhashable: while the tower can rewrite a radicand, equal values
-    # may differ structurally
-    __hash__ = None
 
 
 def _normalize_monomial(mono, coeff: CycloNum):
     acc: dict[CycloNum, Fraction] = {}
     for r, e in mono:
-        base, k = TOWER.entries[r]
-        acc[base] = acc.get(base, Fraction(0)) + e * k
+        acc[r] = acc.get(r, 0) + e
     out = []
-    for base, e in acc.items():
+    for r, e in acc.items():
         n = math.floor(e)
-        frac = e - n
         if n:
-            coeff = coeff * base**n
-        if frac:
-            out.append((base, frac))
+            coeff = coeff * r**n
+        if e != n:
+            out.append((r, e - n))
     out.sort(key=lambda be: csort_key(be[0]))
     return tuple(out), coeff
 
@@ -177,7 +144,7 @@ def cis_zero(a) -> bool:
 
 
 def ceq(a, b) -> bool:
-    return cis_zero(csub(a, b))
+    return a == b
 
 
 def cinv(a):
@@ -260,8 +227,7 @@ def _rational_root_monomial(rho: Fraction, n: int):
     num = _prime_factorization(rho.numerator)
     den = _prime_factorization(rho.denominator)
     if num is None or den is None:
-        base, k = TOWER.register(CycloNum.from_rational(rho))
-        return ((base, Fraction(k, n)),), Fraction(1)
+        return ((TOWER.register(CycloNum.from_rational(rho)), Fraction(1, n)),), Fraction(1)
     exps = dict(num)
     for p, a in den.items():
         exps[p] = exps.get(p, 0) - a
@@ -274,14 +240,15 @@ def _rational_root_monomial(rho: Fraction, n: int):
         if whole:
             rat *= Fraction(p) ** whole
         if frac:
-            base, k = TOWER.register(CycloNum.from_rational(p))
-            mono.append((base, k * frac))
+            mono.append((TOWER.register(CycloNum.from_rational(p)), frac))
     return tuple(mono), rat
 
 
 def croot(a, n: int):
     """An n-th root of a nonzero coefficient (one branch; the others are
-    roots-of-unity multiples, i.e. Galois conjugates downstream)."""
+    roots-of-unity multiples, i.e. Galois conjugates downstream).  The
+    branch depends on (a, n) alone: the radicands it names are never
+    rewritten, whatever was rooted before."""
     if n == 1:
         return a
     if cis_zero(a):
@@ -309,8 +276,7 @@ def croot(a, n: int):
             return zeta_part * rr
         mono, rat = _rational_root_monomial(rho, n)
         return cmul(RadicalCoeff.make([(mono, CycloNum.from_rational(rat))]), zeta_part)
-    base, k = TOWER.register(a)
-    return RadicalCoeff.make([(((base, Fraction(k, n)),), CycloNum.one())])
+    return RadicalCoeff.make([(((TOWER.register(a), Fraction(1, n)),), CycloNum.one())])
 
 
 def cembed(a):

@@ -51,6 +51,13 @@ def test_types_equal_up_to_galois():
     assert a != c
 
 
+def test_factor_order_does_not_depend_on_input_order():
+    # -t^(-1) and -t^(-1/2) differ only in the ramification
+    factors = [(PolarPart.make(p, {1: -1}), RegularPart.single(0)) for p in (1, 2)]
+    a, b = FormalType.make(factors), FormalType.make(factors[::-1])
+    assert a == b and hash(a) == hash(b)
+
+
 def test_hom_invariants_kloosterman():
     t = kloosterman().at(INF)
     assert hom_irregularity(t, t) == 1

@@ -74,12 +74,12 @@ def test_ramify_is_pullback():
     # are the pullback under t = u^q: t^(-1) becomes u^(-3) for q = 3, and
     # t^(-1/2) becomes u^(-1) for q = 2
     phi = PolarPart.unramified({1: c(2)})
-    assert _raw_ramify(phi, 3) == (3, {3: c(2)})
-    up = PolarPart.make(1, _raw_ramify(phi, 3)[1])
+    assert _raw_ramify(phi, 3) == {3: c(2)}
+    up = PolarPart.make(1, _raw_ramify(phi, 3))
     assert up == PolarPart.unramified({3: c(2)}) and slope(up) == 3
     half = PolarPart.make(2, [(1, c(1))])
-    assert _raw_ramify(half, 2) == (4, {2: c(1)})
-    assert PolarPart.make(2, _raw_ramify(half, 2)[1]) == PolarPart.unramified({1: c(1)})
+    assert _raw_ramify(half, 2) == {2: c(1)}
+    assert PolarPart.make(2, _raw_ramify(half, 2)) == PolarPart.unramified({1: c(1)})
 
 
 def test_lser_inverse():

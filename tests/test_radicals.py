@@ -1,5 +1,6 @@
 """Radical-coefficient tower: roots, canonical monomials, embeddings."""
 
+import json
 import os
 import subprocess
 import sys
@@ -121,44 +122,98 @@ def test_radical_coeff_repr_roundtrip_identity():
     assert ceq(r, croot(c(6), 2))
 
 
-def test_print_order_does_not_depend_on_what_was_parsed_first():
-    # the tower lives as long as the process, so the order is checked in
-    # a fresh one, where rt(3, 2) is registered before rt(2, 2)
+def _fresh(*args):
+    """Run python with args in a fresh interpreter, whose radicals have
+    seen nothing parsed before."""
     src = str(Path(rigidconn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_print_order_does_not_depend_on_what_was_parsed_first():
+    # checked in a fresh process, where rt(3, 2) is parsed before rt(2, 2)
     script = (
         "from rigidconn.cli import coeff_str, parse_coeff\n"
         "parse_coeff('rt(3, 2)')\n"
         "print(coeff_str(parse_coeff('rt(6, 2)')))\n"
     )
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    res = _fresh("-c", script)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "1*rt(2, 2)*rt(3, 2)\n"
 
 
-def test_a_rewritten_radicand_compares_by_value():
-    a = c(2) + CycloNum.zeta(4)
-    x = croot(a * a, 3)  # registers a^2, which the next root rewrites as a power of a
-    y = croot(a, 3)
-    assert cmul(y, y) == x and x == cmul(y, y)
-    assert cmul(y, y) != y and y != x
-    unit = RegularPart.make([(F(0), 1)])
-    t = FormalType.make([(PolarPart.unramified({1: cmul(y, y)}), unit), (PolarPart.unramified({1: x}), unit)])
-    assert len(t.factors) == 1 and t.factors[0].reg.rank() == 2
+def test_a_root_does_not_depend_on_what_was_rooted_first(tmp_path):
+    # (-2 - i)^2 = 3 + 4i, and the principal square root of 3 + 4i is
+    # 2 + i: rooting -2 - i first must not turn rt(3 + 4i, 2) into -2 - i
+    script = (
+        "from rigidconn.cyclo import CycloNum\n"
+        "from rigidconn.radicals import cembed, croot\n"
+        "i = CycloNum.zeta(4)\n"
+        "croot(-2 - i, 3)\n"
+        "x = croot(3 + 4 * i, 2)\n"
+        "z = cembed(x)\n"
+        "print(2 in z.real, 1 in z.imag, x != -2 - i)\n"
+    )
+    res = _fresh("-c", script)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "True True True\n"
+    # one point-0 coefficient spelled two ways, with the same data at inf
+    outputs = []
+    for spelling in ["rt(-2 - z(4), 3)^3*t^(-1)", "(-2 - z(4))*t^(-1)"]:
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(_point0_problem(spelling)))
+        for cmd in (["stokes-arcs", "--point", "inf"], ["fourier"]):
+            res = _fresh("-m", "rigidconn.cli", *cmd, str(path))
+            outputs.append((cmd[0], res.returncode, res.stdout, res.stderr))
+    assert outputs[:2] == outputs[2:]
+
+
+def _point0_problem(phi0: str) -> dict:
+    def factors(phi):
+        return [{"phi": p, "reg": [{"exp": "0", "blocks": [1]}]} for p in (phi, "0")]
+
+    return {
+        "version": 1,
+        "N": 1,
+        "points": [
+            {"loc": "0", "factors": factors(phi0)},
+            {"loc": "inf", "factors": factors("rt(3 + 4*z(4), 2)*t^(-1)")},
+        ],
+    }
 
 
 def test_equality_with_anything_but_a_number_is_false():
     r = croot(c(2), 2)
     assert (r == None) is False and r != None  # noqa: E711
     assert r != "rt(2, 2)" and r == croot(c(2), 2) and r != c(2)
-    with pytest.raises(TypeError):
-        hash(r)
+
+
+def test_radical_values_hash():
+    # equal values are built apart, so they are equal structures, not one object
+    r, s = croot(c(2), 2), croot(c(8), 2)
+    half = cmul(s, c(F(1, 2)))
+    assert r == half and r is not half and hash(r) == hash(half)
+    assert len({r, half, s}) == 2
+    unit = RegularPart.make([(F(0), 1)])
+    phi, phi2 = (PolarPart.unramified({1: x}) for x in (r, half))
+    t, t2 = (FormalType.make([(p, unit), (PolarPart.zero(), unit)]) for p in (phi, phi2))
+    P, P2 = (Problem.make(1, [(Location.of(0), u), (INF, u)]) for u in (t, t2))
+    for x, y in [(phi, phi2), (t, t2), (P, P2)]:
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
 
 
 def _one_number_two_radicands():
     """sqrt(1 + i) and (2i)^(1/4): both are 2^(1/4) zeta_16 on the
     principal branch."""
     return croot(c(1) + CycloNum.zeta(4), 2), croot(c(2) * CycloNum.zeta(4), 4)
+
+
+def _one_number_as_a_power():
+    """(2 + i)^(2/3) and ((2 + i)^2)^(1/3): equal on the principal
+    branch, since 2 arg(2 + i) < pi, but under radicands 2 + i and 3 + 4i."""
+    a = c(2) + CycloNum.zeta(4)
+    y = croot(a, 3)
+    return cmul(y, y), croot(a * a, 3)
 
 
 def test_one_number_under_two_radicands():
@@ -172,8 +227,9 @@ def test_one_number_under_two_radicands():
     reason="radicands other than rationals have no canonical form, so equal "
     "radicals compare unequal and split one factor in two (ROADMAP direction 5)",
 )
-def test_equal_radicals_compare_equal_and_give_one_rigidity_index():
-    a, b = _one_number_two_radicands()
+@pytest.mark.parametrize("pair", [_one_number_two_radicands, _one_number_as_a_power])
+def test_equal_radicals_compare_equal_and_give_one_rigidity_index(pair):
+    a, b = pair()
     zero = FormalType.regular(RegularPart.make([(F(0), 2)]))
 
     def problem(factors):
