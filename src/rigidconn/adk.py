@@ -13,6 +13,7 @@ from the terminal problem back to the origin.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .formal import (
     FormalType,
     Location,
     Problem,
+    twist_local,
 )
 from .puiseux import (
     Lser,
@@ -41,10 +43,10 @@ from .transforms import (
     InvariantViolation,
     RankOneData,
     fourier_global,
+    fourier_inf_term,
     fourier_inverse,
-    fourier_rank_prediction,
-    mc_rank_prediction,
     middle_convolution,
+    point_rank_term,
     twist_global,
 )
 
@@ -66,11 +68,6 @@ class ReplayMismatch(RigidconnError):
 class NotRigid:
     reason: str
     stuck_at_rig2: bool = False  # greedy search failed though rig = 2
-
-
-@dataclass(frozen=True)
-class Undecided:
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -290,9 +287,11 @@ def _exponents_at(t: FormalType) -> list[Fraction]:
     return sorted(out)
 
 
-def _unramified_heads(factors) -> list[PolarPart]:
+def _twist_psis(factors) -> list[PolarPart]:
+    """Polar parts a rank-one twist may use to cancel a head: zero, then
+    the negated unramified heads in canonical order."""
     heads = {unramified_head(f.phi) for f in factors} - {PolarPart.zero()}
-    return sorted(heads, key=PolarPart.sort_key)
+    return [PolarPart.zero()] + [polar_neg(h) for h in sorted(heads, key=PolarPart.sort_key)]
 
 
 def reduce_step(P: Problem):
@@ -310,69 +309,70 @@ def reduce_step(P: Problem):
     return _reduce_case_a(P, tinf, r)
 
 
-def _finite_candidates(P: Problem):
-    """Per finite point: (location, [(psi, alpha), ...]) in canonical order."""
+def _apply_twist_then(P: Problem, twist: Twist, move: Mc | Fourier):
+    if twist.points.is_trivial():
+        return move.apply(P), [move]
+    return move.apply(twist.apply(P)), [twist, move]
+
+
+def _finite_options(P: Problem, r: int):
+    """Per finite point: (location, [(psi, alpha, rank term of the
+    twisted type), ...]) in canonical order."""
     out = []
     for loc, t in P.points:
         if loc.is_inf:
             continue
-        psis = [PolarPart.zero()] + [polar_neg(h) for h in _unramified_heads(t.factors)]
         alphas = sorted({(-a) % 1 for a in _exponents_at(t)})
-        out.append((loc, [(psi, al) for psi in psis for al in alphas]))
+        opts = [(psi, al) for psi in _twist_psis(t.factors) for al in alphas]
+        out.append((loc, [(psi, al, point_rank_term(twist_local(t, psi, al), r)) for psi, al in opts]))
     return out
 
 
 def _reduce_case_a(P: Problem, tinf: FormalType, r: int):
-    finite = _finite_candidates(P)
-    inf_psis = [PolarPart.zero()] + [polar_neg(h) for h in _unramified_heads(tinf.factors)]
+    # the MC rank is a sum of per-point terms: score each twisted finite
+    # type once, and each twisted type at infinity once
+    finite = _finite_options(P, r)
+    inf_psis = _twist_psis(tinf.factors)
+    twisted_inf = functools.cache(lambda psi, b: twist_local(tinf, psi, b))
     for combo in itertools.product(*[opts for _, opts in finite]):
-        b_inf = (-sum((al for _, al in combo), Fraction(0))) % 1
+        b_inf = (-sum((al for _, al, _ in combo), Fraction(0))) % 1
+        finite_terms = sum(term for _, _, term in combo)
         for psi_inf in inf_psis:
-            twist_pts = [
-                (loc, psi, al)
-                for (loc, _), (psi, al) in zip(finite, combo)
-            ] + [(INF, psi_inf, b_inf)]
-            twist = Twist(RankOneData.make(twist_pts), r)
-            Pt = twist.apply(P)
-            tinf_t = Pt.at(INF)
+            tinf_t = twisted_inf(psi_inf, b_inf)
             if any(not f.phi.is_zero() for f in tinf_t.factors):
                 continue  # infinity polar part not cancelled; MC inapplicable
-            gammas = [g for g in _exponents_at(tinf_t) if g != 0]
-            for g in sorted(gammas):
-                predicted = mc_rank_prediction(Pt, g)
+            for g in [g for g in _exponents_at(tinf_t) if g != 0]:
+                predicted = finite_terms + point_rank_term(tinf_t, r, g) - r
                 if predicted < r:
-                    mc = Mc(g, predicted)
-                    steps = [] if twist.points.is_trivial() else [twist]
-                    return mc.apply(Pt), steps + [mc]
+                    twist_pts = [
+                        (loc, psi, al) for (loc, _), (psi, al, _) in zip(finite, combo)
+                    ] + [(INF, psi_inf, b_inf)]
+                    return _apply_twist_then(P, Twist(RankOneData.make(twist_pts), r), Mc(g, predicted))
     return Stuck(r)
 
 
 def _reduce_case_b(P: Problem, tinf: FormalType, r: int):
-    # twist away the integral-exponent head of a ramified factor, then Fourier
-    heads = [PolarPart.zero()] + _unramified_heads(f for f in tinf.factors if f.phi.ram >= 2)
+    # twist away the integral-exponent head of a ramified factor, then
+    # Fourier; the twist changes only infinity's term of the rank
+    finite_terms = sum(point_rank_term(t, r) for loc, t in P.points if not loc.is_inf)
     shifts = [Fraction(0)] + sorted({(-a) % 1 for a in _exponents_at(tinf) if a != 0})
     best = None
-    for psi0 in heads:
-        psi = polar_neg(psi0) if not psi0.is_zero() else psi0
+    for psi in _twist_psis(f for f in tinf.factors if f.phi.ram >= 2):
         for b in shifts:
-            twist = Twist(RankOneData.make([(INF, psi, b)]), r)
-            Pt = twist.apply(P)
-            predicted = fourier_rank_prediction(Pt)
+            predicted = finite_terms + fourier_inf_term(twist_local(tinf, psi, b))
             if predicted < r and (best is None or predicted < best[0]):
-                best = (predicted, twist, Pt)
+                best = (predicted, psi, b)
     if best is None:
         return Stuck(r)
-    predicted, twist, Pt = best
+    predicted, psi, b = best
     # fourier_global raises unless its output has the predicted rank
-    fourier = Fourier(predicted)
-    steps = [] if twist.points.is_trivial() else [twist]
-    return fourier.apply(Pt), steps + [fourier]
+    return _apply_twist_then(P, Twist(RankOneData.make([(INF, psi, b)]), r), Fourier(predicted))
 
 
 # -- driver ----------------------------------------------------------
 
 
-def run_adk(P: Problem, max_steps: int = 64):
+def run_adk(P: Problem):
     rig = rig_index(P)
     if rig != 2:
         return NotRigid(f"rig_index = {rig}")
@@ -381,8 +381,6 @@ def run_adk(P: Problem, max_steps: int = 64):
     r0 = P.rank()
     compound = 0
     while cur.rank() >= 2:
-        if len(steps) >= max_steps:
-            return Undecided(f"step budget {max_steps} exhausted at rank {cur.rank()}")
         try:
             cur, norm_steps = normalize_problem(cur)
         except TwoSpecialPoints as e:

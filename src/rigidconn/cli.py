@@ -23,7 +23,6 @@ from typing import get_args
 
 from .adk import (
     Certificate,
-    NotRigid,
     StepRecord,
     replay_certificate,
     run_adk,
@@ -599,7 +598,7 @@ def _cmd_rig(args, out) -> int:
 
 def _cmd_reduce(args, out) -> int:
     P = _load_problem(args.file)
-    res = run_adk(P, args.max_steps)
+    res = run_adk(P)
     if isinstance(res, Certificate):
         kinds = [s.kind for s in res.steps]
         if args.cert:
@@ -613,16 +612,13 @@ def _cmd_reduce(args, out) -> int:
             {"verdict": "rigid", "steps": [step_to_dict(s) for s in res.steps]},
         )
         return EXIT_OK
-    if isinstance(res, NotRigid):
-        _emit(
-            out,
-            args,
-            f"NotRigid ({res.reason})",
-            {"verdict": "not_rigid", "reason": res.reason, "stuck_at_rig2": res.stuck_at_rig2},
-        )
-        return EXIT_NOT_RIGID
-    _emit(out, args, f"Undecided ({res.reason})", {"verdict": "undecided", "reason": res.reason})
-    return EXIT_UNDECIDED
+    _emit(
+        out,
+        args,
+        f"NotRigid ({res.reason})",
+        {"verdict": "not_rigid", "reason": res.reason, "stuck_at_rig2": res.stuck_at_rig2},
+    )
+    return EXIT_NOT_RIGID
 
 
 def _cmd_fourier(args, out) -> int:
@@ -659,7 +655,7 @@ def _cmd_enumerate(args, out) -> int:
             raise SemanticError("polar pool file must be a JSON array of polar expressions")
         pool = [parse_polar(_typed(s, str, "a polar expression")) for s in entries]
     for P in enumerate_candidates(locations, pool, args.order, args.rank):
-        rig, verdict, _ = classify_candidate(P, args.max_steps)
+        rig, verdict, _ = classify_candidate(P)
         out.write(
             json.dumps({"problem": problem_to_dict(P), "rig_index": rig, "verdict": verdict})
             + "\n"
@@ -709,7 +705,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="run the reduction loop")
     p.add_argument("file")
-    p.add_argument("--max-steps", type=int, default=64)
     p.add_argument("--cert", help="write the certificate here")
     p.set_defaults(fn=_cmd_reduce)
 
@@ -732,7 +727,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", help="JSON array of polar-part expressions")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--max-steps", type=int, default=64)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("stokes-arcs", help="order arcs at one point")

@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .adk import Certificate, NotRigid, Undecided, run_adk
+from .adk import Certificate, NotRigid, run_adk
 from .errors import RigidconnError
 from .formal import (
     FormalType,
@@ -109,7 +109,7 @@ def enumerate_candidates(locations, phi_pool, N: int, r: int):
         yield Problem.make(order, list(zip(locs, combo)))
 
 
-def classify_candidate(P: Problem, max_steps: int = 64):
+def classify_candidate(P: Problem):
     """(rig, verdict, reduction result) of one candidate.  The verdict
     is "certified" (ADK certificate), "unresolved" (rig = 2 but the
     greedy reduction could not finish) or "not_rigid"; the result is
@@ -117,15 +117,15 @@ def classify_candidate(P: Problem, max_steps: int = 64):
     rig = rig_index(P)
     if rig != 2:
         return rig, "not_rigid", None
-    res = run_adk(P, max_steps)
+    res = run_adk(P)
     if isinstance(res, Certificate):
         return rig, "certified", res
-    if isinstance(res, Undecided) or (isinstance(res, NotRigid) and res.stuck_at_rig2):
+    if isinstance(res, NotRigid) and res.stuck_at_rig2:
         return rig, "unresolved", res
     return rig, "not_rigid", res
 
 
-def count_rigid(locations, phi_pool, N: int, r: int, max_steps: int = 64):
+def count_rigid(locations, phi_pool, N: int, r: int):
     """Partition the candidate stream into ADK-certified problems,
     rig = 2 problems the greedy reduction could not resolve, and a count
     of rig != 2 data."""
@@ -133,7 +133,7 @@ def count_rigid(locations, phi_pool, N: int, r: int, max_steps: int = 64):
     unresolved: list = []
     non_rigid = 0
     for P in enumerate_candidates(locations, phi_pool, N, r):
-        _, verdict, res = classify_candidate(P, max_steps)
+        _, verdict, res = classify_candidate(P)
         if verdict == "certified":
             if not is_quasi_unipotent(P):
                 raise EnumerationError("a certified candidate must be quasi-unipotent")

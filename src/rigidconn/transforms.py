@@ -94,10 +94,10 @@ class RankOneData:
 
 
 def twist_global(P: Problem, L: RankOneData) -> Problem:
+    """Tensor by L; at a location P does not list, L acts on the trivial
+    type there."""
     for loc, psi, b in L.points:
-        t = P.at(loc)
-        if t is None:
-            raise TransformsError(f"twist at non-singular location {loc!r}")
+        t = P.at(loc) or FormalType.trivial(P.rank())
         P = P.with_point(loc, twist_local(t, psi, b))
     return P
 
@@ -294,49 +294,33 @@ def _scalar_exponent_at_inf(t: FormalType) -> Fraction | None:
     return None
 
 
-def _zero_slope_blocks_with_exponent(t: FormalType, e) -> int:
-    """Blocks of the slope-zero factor with exponent e, e in [0, 1)."""
-    return sum(
-        1
-        for f in t.factors
-        if f.phi.is_zero()
-        for a, _ in f.reg.blocks
-        if a == e
-    )
+def point_rank_term(t: FormalType, r: int, e=0) -> int:
+    """One point's term of the MC and Fourier rank formulas (Katz 1996):
+    Irr + r - (blocks of the slope-zero factor with exponent e)."""
+    z = sum(1 for f in t.factors if f.phi.is_zero() for a, _ in f.reg.blocks if a == e)
+    return irregularity(t) + r - z
+
+
+def fourier_inf_term(t: FormalType) -> int:
+    """Infinity's term of the Fourier rank formula: the sum over slopes
+    s > 1 of (s - 1) * rank."""
+    return sum(int((s - 1) * f.rank()) for f in t.factors if (s := slope(f.phi)) > 1)
 
 
 def mc_rank_prediction(P: Problem, chi_exponent) -> int:
-    """r' = sum over finite x of (Irr_x + r - z_x(1))
-          + (Irr_inf + r - z_inf(chi)) - r."""
-    g = Fraction(chi_exponent) % 1
+    """r' = sum over finite x of point_rank_term(t_x, r)
+          + point_rank_term(t_inf, r, chi) - r."""
     r = P.rank()
-    total = 0
-    seen_inf = False
-    for loc, t in P.points:
-        if loc.is_inf:
-            seen_inf = True
-            total += irregularity(t) + r - _zero_slope_blocks_with_exponent(t, g)
-        else:
-            total += irregularity(t) + r - _zero_slope_blocks_with_exponent(t, 0)
-    if not seen_inf:
-        total += r  # trivial data at infinity: Irr 0, z(chi) = 0 for chi != 1
-    return total - r
+    finite = sum(point_rank_term(t, r) for loc, t in P.points if not loc.is_inf)
+    tinf = P.at(INF) or FormalType.trivial(r)
+    return finite + point_rank_term(tinf, r, Fraction(chi_exponent) % 1) - r
 
 
 def fourier_rank_prediction(P: Problem) -> int:
-    """r' = sum over finite x of (Irr_x + r - z_x(1))
-          + sum over slopes s > 1 at infinity of (s - 1) * rank."""
+    """r' = sum over finite x of point_rank_term(t_x, r) + fourier_inf_term(t_inf)."""
     r = P.rank()
-    total = 0
-    for loc, t in P.points:
-        if loc.is_inf:
-            for f in t.factors:
-                s = slope(f.phi)
-                if s > 1:
-                    total += int(s * f.rank()) - f.rank()
-        else:
-            total += irregularity(t) + r - _zero_slope_blocks_with_exponent(t, 0)
-    return total
+    finite = sum(point_rank_term(t, r) for loc, t in P.points if not loc.is_inf)
+    return finite + fourier_inf_term(P.at(INF) or FormalType.trivial(r))
 
 
 def _finite_irregular_values(P: Problem):
@@ -366,15 +350,10 @@ def middle_convolution(P: Problem, chi_exponent) -> Problem:
     scalar_inf = _scalar_exponent_at_inf(tinf)
     predicted = mc_rank_prediction(P, g)
 
-    P1 = fourier_global(P)
-    zero = Location.of(0)
-    if P1.at(zero) is None:
-        P1 = P1.with_point(zero, FormalType.trivial(P1.rank()))
-    kummer = RankOneData.make([(zero, PolarPart.zero(), -g), (INF, PolarPart.zero(), g)])
-    P2 = twist_global(P1, kummer)
-    if P2.at(zero).is_trivial():
-        P2 = P2.drop_point(zero)
-    out = fourier_inverse(P2)
+    # fourier_global ignores a trivial finite point, so the Kummer twist
+    # may leave one at 0
+    kummer = RankOneData.make([(0, PolarPart.zero(), -g), (INF, PolarPart.zero(), g)])
+    out = fourier_inverse(twist_global(fourier_global(P), kummer))
     n2 = math.lcm(P.N, g.denominator)
     out = Problem.make(math.lcm(n2, _quasi_order(out.points)), out.points)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from rigidconn.cli import parse_certificate, step_from_dict, step_to_dict
 from rigidconn.cyclo import CycloNum
 from rigidconn.enumerate import enumerate_candidates
 from rigidconn.formal import INF, FormalType, Location, Problem, RegularPart
-from rigidconn.puiseux import PolarPart, slope
+from rigidconn.errors import RigidconnError
+from rigidconn.puiseux import PolarPart, polar_neg, slope, unramified_head
 from rigidconn.adk import (
     AddApparent,
     Certificate,
@@ -20,16 +22,18 @@ from rigidconn.adk import (
     Mc,
     Moebius,
     ReplayMismatch,
+    Stuck,
     Twist,
     TwoSpecialPoints,
     normalize_problem,
+    reduce_step,
     replay_certificate,
     run_adk,
 )
 from rigidconn.rigidity import rig_index
-from rigidconn.transforms import InvariantViolation, TransformsError
+from rigidconn.transforms import InvariantViolation, RankOneData, TransformsError, twist_global
 
-from helpers import F, el, fourpoint, hypergeometric, kloosterman, problems_equal, reg
+from helpers import F, el, fourier_battery, fourpoint, hypergeometric, kloosterman, problems_equal, reg
 
 
 def test_run_adk_hypergeometric():
@@ -205,12 +209,6 @@ def test_undo_inverts_apply_where_every_point_is_kept():
     assert kept >= 89
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ReplayMismatch,
-    reason="the twist makes the point at 2 trivial, the middle convolution drops it, "
-    "and the inverse twist finds no point there",
-)
 def test_census_twist_whose_point_the_mc_drops_replays():
     P = Problem.make(
         2,
@@ -227,3 +225,121 @@ def test_census_twist_whose_point_the_mc_drops_replays():
     assert twist.apply(P).at(Location.of(2)).is_trivial()
     assert mc.apply(twist.apply(P)).at(Location.of(2)) is None
     assert replay_certificate(cert) == P
+
+
+def test_certificates_whose_origin_lists_no_trivial_point_replay():
+    certs = [c for c in _certificates() if not any(t.is_trivial() for _, t in c.origin.points)]
+    assert len(certs) == 46
+    for cert in certs:
+        assert problems_equal(replay_certificate(cert), cert.origin)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ReplayMismatch,
+    reason="the origin lists a trivial point at 2, the middle convolution drops it, "
+    "and the certificate has no step that brings it back",
+)
+def test_census_origin_with_a_trivial_point_replays():
+    P = Problem.make(
+        2,
+        [
+            (Location.of(0), reg((0, 2))),
+            (Location.of(1), reg((0, 2))),
+            (Location.of(2), reg((0, 1), (0, 1))),
+            (INF, reg((F(1, 2), 2))),
+        ],
+    )
+    cert = run_adk(P)
+    assert [type(s) for s in cert.steps] == [Mc]
+    assert replay_certificate(cert) == P
+
+
+# --- the scored search against the whole-problem search -------------------
+
+
+def _reference_psis(factors):
+    heads = sorted({unramified_head(f.phi) for f in factors} - {PolarPart.zero()}, key=PolarPart.sort_key)
+    return [PolarPart.zero()] + [polar_neg(h) for h in heads]
+
+
+def _reference_shifts(t):
+    return sorted({(-a) % 1 for f in t.factors for a, _ in f.reg.blocks})
+
+
+def _reference_moves(P):
+    """The first twist and move of the search that twists the whole
+    problem for every candidate and reads the rank formula off it."""
+    r, tinf = P.rank(), P.at(INF)
+    if any(f.phi.ram >= 2 for f in tinf.factors):
+        best = None
+        for psi in _reference_psis(f for f in tinf.factors if f.phi.ram >= 2):
+            for b in sorted({F(0), *_reference_shifts(tinf)}):
+                twist = Twist(RankOneData.make([(INF, psi, b)]), r)
+                predicted = transforms.fourier_rank_prediction(twist.apply(P))
+                if predicted < r and (best is None or predicted < best[1].predicted_rank):
+                    best = (twist, Fourier(predicted))
+        return best
+    finite = [
+        [(loc, psi, al) for psi in _reference_psis(t.factors) for al in _reference_shifts(t)]
+        for loc, t in P.points
+        if not loc.is_inf
+    ]
+    for combo in itertools.product(*finite):
+        b_inf = -sum((al for _, _, al in combo), F(0))
+        for psi_inf in _reference_psis(tinf.factors):
+            twist = Twist(RankOneData.make(list(combo) + [(INF, psi_inf, b_inf)]), r)
+            Pt = twist.apply(P)
+            if all(f.phi.is_zero() for f in Pt.at(INF).factors):
+                for g in sorted({a for f in Pt.at(INF).factors for a, _ in f.reg.blocks} - {0}):
+                    predicted = transforms.mc_rank_prediction(Pt, g)
+                    if predicted < r:
+                        return twist, Mc(g, predicted)
+    return None
+
+
+def _reference_step(P):
+    moves = _reference_moves(P)
+    if moves is None:
+        return Stuck(P.rank())
+    twist, move = moves
+    return move.apply(twist.apply(P)), [move] if twist.points.is_trivial() else [twist, move]
+
+
+def _outcome(step, P):
+    try:
+        return step(P)
+    except RigidconnError as e:
+        return type(e), str(e)
+
+
+def _reference_problems():
+    yield from (hypergeometric(), kloosterman(), fourpoint())
+    yield from fourier_battery()
+    # Kloosterman data twisted at infinity: the Fourier move needs a twist first
+    for psi in (PolarPart.unramified({1: 1}), PolarPart.unramified({1: 2, 2: 1})):
+        for b in (F(0), F(1, 3)):
+            yield twist_global(kloosterman(), RankOneData.make([(0, PolarPart.zero(), -b), (INF, psi, b)]))
+    for locs, N in (([0, 1, INF], 3), ([0, 1, 2, INF], 2)):
+        yield from enumerate_candidates(locs, [], N, 2)
+
+
+def test_scored_search_matches_the_whole_problem_search():
+    seen = set()
+    for P in _reference_problems():
+        if rig_index(P) != 2:
+            continue
+        cur = P
+        while cur.rank() >= 2:
+            try:
+                cur, _ = normalize_problem(cur)
+            except TwoSpecialPoints:
+                break
+            got = _outcome(reduce_step, cur)
+            assert got == _outcome(_reference_step, cur)
+            if isinstance(got, Stuck) or not isinstance(got[0], Problem):
+                seen.add("stuck" if isinstance(got, Stuck) else "raise")
+                break
+            cur, steps = got
+            seen.add(tuple(s.kind for s in steps))
+    assert seen == {("mc",), ("twist", "mc"), ("fourier",), ("twist", "fourier"), "stuck", "raise"}

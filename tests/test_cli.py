@@ -46,11 +46,11 @@ import rigidconn
 from rigidconn.cyclo import CycloError, CycloNum, UndecidedSign
 from rigidconn.enumerate import EnumerationError
 from rigidconn.errors import RigidconnError
-from rigidconn.formal import INF, FormalError, Location
+from rigidconn.formal import INF, FormalError, FormalType, Location
 from rigidconn.linalg import LinAlgError
 from rigidconn.puiseux import PolarPart, PuiseuxError
 from rigidconn.radicals import RadicalError, cadd, ceq, cneg, croot
-from rigidconn.transforms import TransformsError
+from rigidconn.transforms import RankOneData, TransformsError, twist_global
 
 from helpers import F, fourpoint, hypergeometric, kloosterman, problems_equal
 
@@ -320,6 +320,17 @@ def test_cmd_reduce_and_replay(files):
 def test_cmd_reduce_not_rigid(files):
     code, out, _ = run(["reduce", files["four"]])
     assert code == EXIT_NOT_RIGID
+
+
+def test_cmd_twist_at_an_unlisted_location(files):
+    # the point 2 is not listed: the twist acts on the trivial type there
+    twist = files["dir"] / "twist.json"
+    twist.write_text(json.dumps({"points": [{"loc": "2", "phi": "t^(-1)", "shift": "1/2"}]}), encoding="utf-8")
+    code, out, _ = run(["twist", files["hyper"], str(twist)])
+    assert code == EXIT_OK
+    L = RankOneData.make([(2, PolarPart.unramified({1: 1}), F(1, 2))])
+    assert parse_problem(out) == twist_global(hypergeometric(), L)
+    assert parse_problem(out).at(Location.of(2)) != FormalType.trivial(2)
 
 
 def test_cmd_reduce_certificate_parses_back(tmp_path):

@@ -13,7 +13,7 @@ import rigidconn
 from rigidconn import puiseux
 from rigidconn.cli import parse_polar, polar_str
 from rigidconn.cyclo import CycloNum
-from rigidconn.formal import INF, ExpFactor, FormalType, Location, Problem, RegularPart
+from rigidconn.formal import INF, ExpFactor, FormalType, Location, Problem, RegularPart, twist_local
 from rigidconn.linalg import mat
 from rigidconn.puiseux import PolarPart, slope
 from rigidconn.rigidity import rig_index
@@ -145,6 +145,35 @@ def test_twist_inverse():
     Q = twist_global(P, L)
     assert Q != P
     assert problems_equal(twist_global(Q, L.inverse()), P)
+
+
+def test_twist_at_an_unlisted_location_acts_on_the_trivial_type():
+    P = hypergeometric()
+    two, psi = Location.of(2), PolarPart.unramified({1: 2})
+    L = RankOneData.make([(two, psi, F(1, 3)), (INF, PolarPart.zero(), F(2, 3))])
+    Q = twist_global(P, L)
+    assert Q.at(two) == twist_local(FormalType.trivial(2), psi, F(1, 3))
+    assert Q.at(INF) == twist_local(P.at(INF), PolarPart.zero(), F(2, 3))
+    assert [loc for loc, _ in Q.points] == [Location.of(0), Location.of(1), two, INF]
+
+
+@pytest.mark.parametrize(
+    "t",
+    [reg((F(1, 2), 1), (F(1, 2), 1)), el(1, {1: 3}, (F(1, 3), 1), (F(1, 3), 1)), el(1, {2: 1, 1: -1}, (F(5, 6), 1), (F(5, 6), 1))],
+    ids=["scalar", "scalar_irregular", "scalar_slope_2"],
+)
+def test_twist_that_trivialises_a_point_is_undone_after_the_point_is_dropped(t):
+    # a point of scalar type (psi, b) is trivialised by the twist (-psi, -b);
+    # a transform may then drop it, and the inverse twist brings it back
+    x = Location.of(2)
+    f = t.factors[0]
+    P = hypergeometric().with_point(x, t)
+    L = RankOneData.make(
+        [(Location.of(0), PolarPart.zero(), F(1, 3)), (x, puiseux.polar_neg(f.phi), -f.reg.blocks[0][0])]
+    )
+    Q = twist_global(P, L)
+    assert Q.at(x).is_trivial()
+    assert twist_global(Q.drop_point(x), L.inverse()) == P
 
 
 def test_mc_trivial_chi_rejected():
