@@ -655,11 +655,13 @@ def _cmd_enumerate(args, out) -> int:
             raise SemanticError("polar pool file must be a JSON array of polar expressions")
         pool = [parse_polar(_typed(s, str, "a polar expression")) for s in entries]
     for P in enumerate_candidates(locations, pool, args.order, args.rank):
-        rig, verdict, _ = classify_candidate(P)
-        out.write(
-            json.dumps({"problem": problem_to_dict(P), "rig_index": rig, "verdict": verdict})
-            + "\n"
-        )
+        try:
+            rig, verdict, _ = classify_candidate(P)
+            line = {"rig_index": rig, "verdict": verdict}
+        except RigidconnError as e:
+            # one candidate's failure is its verdict; the stream goes on
+            line = {"rig_index": rig_index(P), "verdict": "error", "error": str(e)}
+        out.write(json.dumps({"problem": problem_to_dict(P), **line}) + "\n")
     return EXIT_OK
 
 

@@ -22,7 +22,6 @@ from .formal import (
     Problem,
     RegularPart,
     is_quasi_unipotent,
-    monodromy_exponents,
 )
 from .puiseux import PolarPart, canonical_rep
 from .rigidity import rig_index
@@ -101,9 +100,11 @@ def enumerate_candidates(locations, phi_pool, N: int, r: int):
     locs = [Location.of(l) for l in locations]
     reps = _canonical_pool(phi_pool)
     order = math.lcm(N, *(q.ram for q in reps))
+    # the candidates of a slice share these type objects, so each type's
+    # cached exponent sum (and rigidity defect) is computed once
     per_point = list(_types_of_rank(reps, r, N))
     for combo in itertools.product(per_point, repeat=len(locs)):
-        total = sum((sum(monodromy_exponents(t)) for t in combo), Fraction(0))
+        total = sum((t.exponent_sum for t in combo), Fraction(0))
         if total.denominator != 1:
             continue
         yield Problem.make(order, list(zip(locs, combo)))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cyclo import CycloNum
 from .errors import RigidconnError
@@ -150,6 +151,17 @@ class FormalType:
     def trivial(r: int) -> "FormalType":
         """Apparent-singularity data: r copies of exponent 0, size 1."""
         return FormalType.regular(RegularPart.make([(Fraction(0), 1)] * r))
+
+    @cached_property
+    def defect(self) -> int:
+        """Rigidity defect Irr(End T) + r^2 - h0(End T) of this type,
+        computed once per instance and kept out of the dataclass fields."""
+        return hom_irregularity(self, self) + rank(self) ** 2 - hom_h0(self, self)
+
+    @cached_property
+    def exponent_sum(self) -> Fraction:
+        """Sum of the formal-monodromy exponents, computed once per instance."""
+        return sum(monodromy_exponents(self), Fraction(0))
 
     def is_trivial(self) -> bool:
         return (

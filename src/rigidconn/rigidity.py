@@ -6,21 +6,16 @@ rig = 2 r^2 - sum over singular points of
 the Euler-Poincare expansion of 2 - h^1 of the middle-extension End
 complex, valid for formal data of an irreducible connection.  Rank-one
 data always give 2; rig = 2 characterizes the rigid irreducible case.
+Each bracket depends on the point's formal type alone; it is the type's
+cached `FormalType.defect`, so a type shared by many problems pays for
+it once.
 """
 
 from __future__ import annotations
 
-from .formal import FormalType, Problem, hom_h0, hom_irregularity
-
-
-def local_defect(t: FormalType, r: int) -> int:
-    """Contribution Irr(End) + r^2 - h0(End) of one point."""
-    return hom_irregularity(t, t) + r * r - hom_h0(t, t)
+from .formal import Problem
 
 
 def rig_index(p: Problem) -> int:
     r = p.rank()
-    total = 2 * r * r
-    for _, t in p.points:
-        total -= local_defect(t, r)
-    return total
+    return 2 * r * r - sum(t.defect for _, t in p.points)

@@ -97,6 +97,18 @@ def fourpoint() -> Problem:
     )
 
 
+# The census: the first location set of each certify slice of the
+# benchmark, as (name, locations, polar pool, N, rank); "pool" is the
+# polar pool {1/t}, and xy02 the location set {0, 2, inf}.
+CENSUS_SLICES = [
+    ("01-N2-r2-pool", [0, 1, INF], [PolarPart.unramified({1: 1})], 2, 2),
+    ("01-N3-r2", [0, 1, INF], [], 3, 2),
+    ("xy02-N2-r2-pool", [0, 2, INF], [PolarPart.unramified({1: 1})], 2, 2),
+    ("01-N2-r3", [0, 1, INF], [], 2, 3),
+    ("012-N2-r2", [0, 1, 2, INF], [], 2, 2),
+]
+
+
 def fourier_battery() -> list[Problem]:
     """50 admissible problems, mixed tame/irregular, rank <= 3, integral
     global exponent sum (realizable determinant)."""

@@ -406,6 +406,18 @@ def test_cmd_enumerate(tmp_path):
     assert all(l["verdict"] == "certified" for l in lines)
 
 
+def test_cmd_enumerate_gives_a_raising_candidate_an_error_line():
+    # reducible rank-2 data make the middle convolution raise; each such
+    # candidate gets its own line and the stream goes on to the end
+    code, out, err = run(["enumerate", "--points", "0,1,inf", "--order", "3", "--rank", "2"])
+    assert code == EXIT_OK and err == ""
+    lines = [json.loads(l) for l in out.splitlines()]
+    errors = [l for l in lines if l["verdict"] == "error"]
+    assert len(lines) == 243 and len(errors) == 36
+    assert all(l["rig_index"] == 2 and l["error"] == "vanishing data exceed the ambient rank" for l in errors)
+    assert all("error" not in l for l in lines if l["verdict"] != "error")
+
+
 @pytest.mark.parametrize("order, rank", [(1, 0), (0, 1)])
 def test_cmd_enumerate_rejects_nonpositive_bounds(order, rank):
     # CI also runs this file under python -O, where order 0 used to reach

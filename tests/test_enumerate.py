@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 
+import pytest
+
 from rigidconn.enumerate import count_rigid, enumerate_candidates
 from rigidconn.formal import INF, Location, monodromy_exponents
 from rigidconn.puiseux import PolarPart
+from rigidconn.rigidity import rig_index
 
-from helpers import F
+from helpers import CENSUS_SLICES, F
 
 
 def test_three_point_rank_one_count():
@@ -61,3 +64,16 @@ def test_rank_two_slice_contains_unresolved_unipotent_data():
         1 for _ in enumerate_candidates([0, 1, INF], [], 1, 2)
     )
     assert len(unresolved) >= 1
+
+
+@pytest.mark.parametrize(
+    "slice_, counts",
+    zip(CENSUS_SLICES, [(1480, 400), (243, 72), (1480, 400), (500, 96), (353, 112)]),
+    ids=[s[0] for s in CENSUS_SLICES],
+)
+def test_census_slice_counts(slice_, counts):
+    # the Fuchs filter sums cached per-type exponent sums and rig sums
+    # cached per-type defects; these counts pin both on every census slice
+    _, locs, pool, N, r = slice_
+    cands = list(enumerate_candidates(locs, pool, N, r))
+    assert (len(cands), sum(rig_index(P) == 2 for P in cands)) == counts

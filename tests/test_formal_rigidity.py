@@ -1,9 +1,12 @@
 """Formal types, local invariants, and the rigidity index."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
+from rigidconn.cli import print_problem
+from rigidconn.enumerate import enumerate_candidates
 from rigidconn.formal import (
     INF,
     FormalError,
@@ -17,11 +20,12 @@ from rigidconn.formal import (
     is_quasi_unipotent,
     monodromy_exponents,
     rank,
+    twist_local,
 )
-from rigidconn.puiseux import PolarPart, galois_act
+from rigidconn.puiseux import PolarPart, galois_act, polar_neg
 from rigidconn.rigidity import rig_index
 
-from helpers import F, el, fourpoint, hypergeometric, kloosterman, reg
+from helpers import CENSUS_SLICES, F, el, fourier_battery, fourpoint, hypergeometric, kloosterman, reg
 
 
 def test_regular_part_exponents_mod_one():
@@ -97,3 +101,42 @@ def test_is_quasi_unipotent():
         ],
     )
     assert is_quasi_unipotent(P)
+
+
+def _helper_problems() -> list[Problem]:
+    return [hypergeometric(), kloosterman(), fourpoint(), *fourier_battery()]
+
+
+def _census_and_helper_types() -> set[FormalType]:
+    """Every per-point type of the census slices and the helper problems."""
+    types = {t for P in _helper_problems() for _, t in P.points}
+    for _, locs, pool, N, r in CENSUS_SLICES:
+        types |= {t for P in enumerate_candidates(locs, pool, N, r) for _, t in P.points}
+    return types
+
+
+def test_cached_invariants_equal_fresh_values():
+    for t in _census_and_helper_types():
+        assert t.defect == hom_irregularity(t, t) + rank(t) ** 2 - hom_h0(t, t), t
+        assert t.exponent_sum == sum(monodromy_exponents(t)), t
+
+
+def test_cached_invariants_leave_equality_hash_repr_and_printers_alone():
+    for P in _helper_problems():
+        fresh = {loc: FormalType.make(t.factors) for loc, t in P.points}
+        before = [(hash(t), repr(t)) for _, t in P.points], print_problem(P)
+        for _, t in P.points:
+            t.defect, t.exponent_sum
+        assert ([(hash(t), repr(t)) for _, t in P.points], print_problem(P)) == before
+        # a read type still equals, and hashes like, one never read
+        assert all(t == fresh[loc] and hash(t) == hash(fresh[loc]) for loc, t in P.points)
+    assert [f.name for f in fields(FormalType)] == ["factors"]
+
+
+def test_equal_types_built_by_different_routes_give_equal_invariants():
+    psi, b = PolarPart.unramified({1: 1}), F(1, 3)
+    for t in _census_and_helper_types():
+        direct = FormalType.make(t.factors)
+        back = twist_local(twist_local(t, psi, b), polar_neg(psi), -b)
+        assert direct == back == t and direct is not back
+        assert (direct.defect, direct.exponent_sum) == (back.defect, back.exponent_sum) == (t.defect, t.exponent_sum)
