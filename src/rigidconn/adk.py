@@ -4,6 +4,8 @@ rank-decreasing steps, certificates and replay.
 A run alternates normalize_problem (Moebius position, apparent
 singularities) with reduce_step (Twist+MC when infinity is unramified,
 Twist+Fourier when a ramified factor sits at infinity) until rank one.
+reduce_step scores each twist option per point, off the untwisted type,
+and twists the problem only by the twist it applies.
 Each move is a frozen record of its kind -- Moebius, AddApparent, Twist,
 Mc or Fourier -- holding its parameters and predicted_rank, the rank it
 leaves behind; apply(P) makes the move and undo(P) inverts it.  The
@@ -13,8 +15,8 @@ from the terminal problem back to the origin.
 
 from __future__ import annotations
 
-import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
@@ -26,7 +28,6 @@ from .formal import (
     FormalType,
     Location,
     Problem,
-    twist_local,
 )
 from .puiseux import (
     Lser,
@@ -34,6 +35,7 @@ from .puiseux import (
     binomial_pow,
     cinv,
     croot,
+    polar_add,
     polar_neg,
     pullback_polar,
     unramified_head,
@@ -43,7 +45,6 @@ from .transforms import (
     InvariantViolation,
     RankOneData,
     fourier_global,
-    fourier_inf_term,
     fourier_inverse,
     middle_convolution,
     point_rank_term,
@@ -315,35 +316,53 @@ def _apply_twist_then(P: Problem, twist: Twist, move: Mc | Fourier):
     return move.apply(twist.apply(P)), [twist, move]
 
 
-def _finite_options(P: Problem, r: int):
-    """Per finite point: (location, [(psi, alpha, rank term of the
-    twisted type), ...]) in canonical order."""
+def _twist_reads(t: FormalType, psi: PolarPart) -> tuple[int, int, Counter]:
+    """Irr, the Fourier term at infinity and the unshifted block
+    exponents of the cancelled factors of t twisted by (psi, any shift).
+    An unramified psi keeps each ramification p: on rank p*s the leading
+    numerator j of phi + psi adds j*s to Irr, (j - p)*s above p."""
+    irr = four = 0
+    cancelled = Counter()
+    for f in t.factors:
+        j, s = polar_add(f.phi, psi).lead, f.reg.rank()
+        irr += j * s
+        four += max(j - f.phi.ram, 0) * s
+        if j == 0:
+            cancelled.update(a for a, _ in f.reg.blocks)
+    return irr, four, cancelled
+
+
+def _point_options(t: FormalType, r: int):
+    """[(psi, alpha, rank term of t twisted by (psi, alpha)), ...] in
+    canonical order: Irr once per psi, less the cancelled blocks whose
+    exponent the shift alpha takes to 0."""
+    alphas = sorted({(-a) % 1 for a in _exponents_at(t)})
     out = []
-    for loc, t in P.points:
-        if loc.is_inf:
-            continue
-        alphas = sorted({(-a) % 1 for a in _exponents_at(t)})
-        opts = [(psi, al) for psi in _twist_psis(t.factors) for al in alphas]
-        out.append((loc, [(psi, al, point_rank_term(twist_local(t, psi, al), r)) for psi, al in opts]))
+    for psi in _twist_psis(t.factors):
+        irr, _, cancelled = _twist_reads(t, psi)
+        out += [(psi, al, irr + r - cancelled[(-al) % 1]) for al in alphas]
     return out
 
 
+def _finite_options(P: Problem, r: int):
+    """Per finite point: (location, _point_options of its type)."""
+    return [(loc, _point_options(t, r)) for loc, t in P.points if not loc.is_inf]
+
+
 def _reduce_case_a(P: Problem, tinf: FormalType, r: int):
-    # the MC rank is a sum of per-point terms: score each twisted finite
-    # type once, and each twisted type at infinity once
+    # the MC rank is a sum of per-point terms, each read off the
+    # untwisted type; MC needs a twist that leaves infinity regular, and
+    # the twisted blocks at infinity with exponent g = a + b_inf cancel
     finite = _finite_options(P, r)
-    inf_psis = _twist_psis(tinf.factors)
-    twisted_inf = functools.cache(lambda psi, b: twist_local(tinf, psi, b))
+    inf_psis = [psi for psi in _twist_psis(tinf.factors) if _twist_reads(tinf, psi)[0] == 0]
+    inf_blocks = Counter(a for f in tinf.factors for a, _ in f.reg.blocks)
     for combo in itertools.product(*[opts for _, opts in finite]):
         b_inf = (-sum((al for _, al, _ in combo), Fraction(0))) % 1
         finite_terms = sum(term for _, _, term in combo)
         for psi_inf in inf_psis:
-            tinf_t = twisted_inf(psi_inf, b_inf)
-            if any(not f.phi.is_zero() for f in tinf_t.factors):
-                continue  # infinity polar part not cancelled; MC inapplicable
-            for g in [g for g in _exponents_at(tinf_t) if g != 0]:
-                predicted = finite_terms + point_rank_term(tinf_t, r, g) - r
-                if predicted < r:
+            for g, n in sorted(((a + b_inf) % 1, n) for a, n in inf_blocks.items()):
+                predicted = finite_terms - n
+                if g != 0 and predicted < r:
                     twist_pts = [
                         (loc, psi, al) for (loc, _), (psi, al, _) in zip(finite, combo)
                     ] + [(INF, psi_inf, b_inf)]
@@ -353,20 +372,19 @@ def _reduce_case_a(P: Problem, tinf: FormalType, r: int):
 
 def _reduce_case_b(P: Problem, tinf: FormalType, r: int):
     # twist away the integral-exponent head of a ramified factor, then
-    # Fourier; the twist changes only infinity's term of the rank
+    # Fourier; the twist changes only infinity's term of the rank, and
+    # no exponent shift changes that term, so the twist has none
     finite_terms = sum(point_rank_term(t, r) for loc, t in P.points if not loc.is_inf)
-    shifts = [Fraction(0)] + sorted({(-a) % 1 for a in _exponents_at(tinf) if a != 0})
     best = None
     for psi in _twist_psis(f for f in tinf.factors if f.phi.ram >= 2):
-        for b in shifts:
-            predicted = finite_terms + fourier_inf_term(twist_local(tinf, psi, b))
-            if predicted < r and (best is None or predicted < best[0]):
-                best = (predicted, psi, b)
+        predicted = finite_terms + _twist_reads(tinf, psi)[1]
+        if predicted < r and (best is None or predicted < best[0]):
+            best = (predicted, psi)
     if best is None:
         return Stuck(r)
-    predicted, psi, b = best
+    predicted, psi = best
     # fourier_global raises unless its output has the predicted rank
-    return _apply_twist_then(P, Twist(RankOneData.make([(INF, psi, b)]), r), Fourier(predicted))
+    return _apply_twist_then(P, Twist(RankOneData.make([(INF, psi, 0)]), r), Fourier(predicted))
 
 
 # -- driver ----------------------------------------------------------

@@ -630,7 +630,7 @@ def _cmd_fourier(args, out) -> int:
 def _cmd_mc(args, out) -> int:
     gamma = parse_rational(args.chi)
     if gamma % 1 == 0:
-        raise SemanticError("chi must be a nontrivial character: exponent not an integer")
+        raise SemanticError(f"the exponent of chi must not be an integer, got {args.chi}")
     P = _load_problem(args.file)
     out.write(print_problem(middle_convolution(P, gamma)))
     return EXIT_OK

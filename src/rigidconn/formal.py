@@ -28,7 +28,6 @@ from .puiseux import (
     diff_pole_order,
     galois_act,
     polar_add,
-    slope,
 )
 from .radicals import csort_key
 
@@ -226,11 +225,8 @@ def rank(t: FormalType) -> int:
 
 
 def irregularity(t: FormalType) -> int:
-    """Sum of slopes with multiplicity; an integer."""
-    total = sum((slope(f.phi) * f.rank() for f in t.factors), Fraction(0))
-    if total.denominator != 1:
-        raise FormalError("irregularity must be integral")
-    return int(total)
+    """Sum of slopes with multiplicity: slope j/p on rank p*s adds j*s."""
+    return sum(f.phi.lead * f.reg.rank() for f in t.factors)
 
 
 def monodromy_exponents(t: FormalType) -> list[Fraction]:
@@ -284,5 +280,11 @@ def twist_local(t: FormalType, psi: PolarPart, b) -> FormalType:
     return FormalType.make([(polar_add(f.phi, psi), f.reg.shifted(b)) for f in t.factors])
 
 
+def quasi_order(t: FormalType) -> int:
+    """Least N with every formal-monodromy exponent in (1/N)Z: the
+    exponents a + j/p of a block generate <a, 1/p>, of order lcm(den a, p)."""
+    return math.lcm(*(math.lcm(a.denominator, f.phi.ram) for f in t.factors for a, _ in f.reg.blocks))
+
+
 def is_quasi_unipotent(p: Problem) -> bool:
-    return all((a * p.N).denominator == 1 for _, t in p.points for a in monodromy_exponents(t))
+    return all(p.N % quasi_order(t) == 0 for _, t in p.points)

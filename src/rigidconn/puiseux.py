@@ -86,6 +86,11 @@ class PolarPart:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @property
+    def lead(self) -> int:
+        """Leading exponent numerator j (slope j/ram); 0 for the zero part."""
+        return self.terms[0][0] if self.terms else 0
+
     def coeff(self, j: int):
         for jj, c in self.terms:
             if jj == j:
@@ -107,9 +112,7 @@ class PolarPart:
 
 
 def slope(phi: PolarPart) -> Fraction:
-    if phi.is_zero():
-        return Fraction(0)
-    return Fraction(phi.terms[0][0], phi.ram)
+    return Fraction(phi.lead, phi.ram)
 
 
 def is_minimal(phi: PolarPart) -> bool:

@@ -32,7 +32,7 @@ from .formal import (
     Problem,
     RegularPart,
     irregularity,
-    monodromy_exponents,
+    quasi_order,
     twist_local,
 )
 from .linalg import (
@@ -96,10 +96,10 @@ class RankOneData:
 def twist_global(P: Problem, L: RankOneData) -> Problem:
     """Tensor by L; at a location P does not list, L acts on the trivial
     type there."""
+    pts = dict(P.points)
     for loc, psi, b in L.points:
-        t = P.at(loc) or FormalType.trivial(P.rank())
-        P = P.with_point(loc, twist_local(t, psi, b))
-    return P
+        pts[loc] = twist_local(pts.get(loc) or FormalType.trivial(P.rank()), psi, b)
+    return Problem.make(P.N, pts.items())
 
 
 # -- stationary-phase legs -------------------------------------------
@@ -214,14 +214,6 @@ def reconstruct_type(vanishing: list[ExpFactor], r: int) -> FormalType:
 # -- global Fourier transform ----------------------------------------
 
 
-def _quasi_order(points) -> int:
-    n = 1
-    for _, t in points:
-        for a in monodromy_exponents(t):
-            n = math.lcm(n, a.denominator)
-    return n
-
-
 def fourier_global(P: Problem) -> Problem:
     """Fourier transform of the formal data of an irreducible middle
     extension, localized at infinity."""
@@ -254,7 +246,7 @@ def fourier_global(P: Problem) -> Problem:
         t = reconstruct_type(gs, rp)
         if not t.is_trivial():
             new_points.append((loc, t))
-    n2 = math.lcm(P.N, _quasi_order(new_points))
+    n2 = math.lcm(P.N, *(quasi_order(t) for _, t in new_points))
     return Problem.make(n2, new_points)
 
 
@@ -303,8 +295,8 @@ def point_rank_term(t: FormalType, r: int, e=0) -> int:
 
 def fourier_inf_term(t: FormalType) -> int:
     """Infinity's term of the Fourier rank formula: the sum over slopes
-    s > 1 of (s - 1) * rank."""
-    return sum(int((s - 1) * f.rank()) for f in t.factors if (s := slope(f.phi)) > 1)
+    j/p > 1 of (j/p - 1) * rank, that is (j - p) * s on rank p*s."""
+    return sum((f.phi.lead - f.phi.ram) * f.reg.rank() for f in t.factors if f.phi.lead > f.phi.ram)
 
 
 def mc_rank_prediction(P: Problem, chi_exponent) -> int:
@@ -355,7 +347,7 @@ def middle_convolution(P: Problem, chi_exponent) -> Problem:
     kummer = RankOneData.make([(0, PolarPart.zero(), -g), (INF, PolarPart.zero(), g)])
     out = fourier_inverse(twist_global(fourier_global(P), kummer))
     n2 = math.lcm(P.N, g.denominator)
-    out = Problem.make(math.lcm(n2, _quasi_order(out.points)), out.points)
+    out = Problem.make(math.lcm(n2, *(quasi_order(t) for _, t in out.points)), out.points)
 
     if out.rank() != predicted:
         raise InvariantViolation("middle convolution rank formula violated")

@@ -108,6 +108,16 @@ CENSUS_SLICES = [
     ("012-N2-r2", [0, 1, 2, INF], [], 2, 2),
 ]
 
+# ramified pools t^(-1/2) and t^(-1/3): the reduction reaches its
+# ramified-infinity branch (twist, then Fourier) only on these slices
+RAMIFIED_SLICES = [
+    ("0-N2-r2-sqrt", [0, INF], [PolarPart.make(2, [(1, 1)])], 2, 2),
+    ("01-N2-r2-sqrt", [0, 1, INF], [PolarPart.make(2, [(1, 1)])], 2, 2),
+    ("0-N4-r2-sqrt", [0, INF], [PolarPart.make(2, [(1, 1)])], 4, 2),
+    ("01-N2-r3-sqrt", [0, 1, INF], [PolarPart.make(2, [(1, 1)])], 2, 3),
+    ("0-N3-r3-cbrt", [0, INF], [PolarPart.make(3, [(1, 1)])], 3, 3),
+]
+
 
 def fourier_battery() -> list[Problem]:
     """50 admissible problems, mixed tame/irregular, rank <= 3, integral

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,18 @@ from rigidconn import transforms
 from rigidconn.cli import parse_certificate, step_from_dict, step_to_dict
 from rigidconn.cyclo import CycloNum
 from rigidconn.enumerate import enumerate_candidates
-from rigidconn.formal import INF, FormalType, Location, Problem, RegularPart
+from rigidconn.formal import (
+    INF,
+    FormalType,
+    Location,
+    Problem,
+    RegularPart,
+    irregularity,
+    monodromy_exponents,
+    quasi_order,
+    rank,
+    twist_local,
+)
 from rigidconn.errors import RigidconnError
 from rigidconn.puiseux import PolarPart, polar_neg, slope, unramified_head
 from rigidconn.adk import (
@@ -21,19 +33,33 @@ from rigidconn.adk import (
     Fourier,
     Mc,
     Moebius,
+    NotRigid,
     ReplayMismatch,
     Stuck,
     Twist,
     TwoSpecialPoints,
+    _point_options,
+    _twist_reads,
     normalize_problem,
     reduce_step,
     replay_certificate,
     run_adk,
 )
 from rigidconn.rigidity import rig_index
-from rigidconn.transforms import InvariantViolation, RankOneData, TransformsError, twist_global
+from rigidconn.transforms import InvariantViolation, RankOneData, TransformsError, fourier_inf_term, twist_global
 
-from helpers import F, el, fourier_battery, fourpoint, hypergeometric, kloosterman, problems_equal, reg
+from helpers import (
+    CENSUS_SLICES,
+    RAMIFIED_SLICES,
+    F,
+    el,
+    fourier_battery,
+    fourpoint,
+    hypergeometric,
+    kloosterman,
+    problems_equal,
+    reg,
+)
 
 
 def test_run_adk_hypergeometric():
@@ -267,19 +293,11 @@ def _reference_shifts(t):
     return sorted({(-a) % 1 for f in t.factors for a, _ in f.reg.blocks})
 
 
-def _reference_moves(P):
-    """The first twist and move of the search that twists the whole
-    problem for every candidate and reads the rank formula off it."""
+def _reference_mc_moves(P):
+    """Every rank-decreasing twist and MC of the search that twists the
+    whole problem for every candidate and reads the rank formula off it,
+    in its order; P must be unramified at infinity."""
     r, tinf = P.rank(), P.at(INF)
-    if any(f.phi.ram >= 2 for f in tinf.factors):
-        best = None
-        for psi in _reference_psis(f for f in tinf.factors if f.phi.ram >= 2):
-            for b in sorted({F(0), *_reference_shifts(tinf)}):
-                twist = Twist(RankOneData.make([(INF, psi, b)]), r)
-                predicted = transforms.fourier_rank_prediction(twist.apply(P))
-                if predicted < r and (best is None or predicted < best[1].predicted_rank):
-                    best = (twist, Fourier(predicted))
-        return best
     finite = [
         [(loc, psi, al) for psi in _reference_psis(t.factors) for al in _reference_shifts(t)]
         for loc, t in P.points
@@ -294,8 +312,22 @@ def _reference_moves(P):
                 for g in sorted({a for f in Pt.at(INF).factors for a, _ in f.reg.blocks} - {0}):
                     predicted = transforms.mc_rank_prediction(Pt, g)
                     if predicted < r:
-                        return twist, Mc(g, predicted)
-    return None
+                        yield twist, Mc(g, predicted)
+
+
+def _reference_moves(P):
+    """The first twist and move of the whole-problem search."""
+    r, tinf = P.rank(), P.at(INF)
+    if any(f.phi.ram >= 2 for f in tinf.factors):
+        best = None
+        for psi in _reference_psis(f for f in tinf.factors if f.phi.ram >= 2):
+            for b in sorted({F(0), *_reference_shifts(tinf)}):
+                twist = Twist(RankOneData.make([(INF, psi, b)]), r)
+                predicted = transforms.fourier_rank_prediction(twist.apply(P))
+                if predicted < r and (best is None or predicted < best[1].predicted_rank):
+                    best = (twist, Fourier(predicted))
+        return best
+    return next(_reference_mc_moves(P), None)
 
 
 def _reference_step(P):
@@ -322,6 +354,9 @@ def _reference_problems():
             yield twist_global(kloosterman(), RankOneData.make([(0, PolarPart.zero(), -b), (INF, psi, b)]))
     for locs, N in (([0, 1, INF], 3), ([0, 1, 2, INF], 2)):
         yield from enumerate_candidates(locs, [], N, 2)
+    # the only enumerated data whose reduction twists, then Fourier transforms
+    for _, locs, pool, N, r in RAMIFIED_SLICES:
+        yield from enumerate_candidates(locs, pool, N, r)
 
 
 def test_scored_search_matches_the_whole_problem_search():
@@ -343,3 +378,77 @@ def test_scored_search_matches_the_whole_problem_search():
             cur, steps = got
             seen.add(tuple(s.kind for s in steps))
     assert seen == {("mc",), ("twist", "mc"), ("fourier",), ("twist", "fourier"), "stuck", "raise"}
+
+
+# --- the integer reads against the objects they replace -------------------
+
+
+def _per_point_types() -> list[FormalType]:
+    """Every per-point type of the census and ramified slices, of the
+    helper problems and of the Fourier battery."""
+    types = set()
+    for _, locs, pool, N, r in CENSUS_SLICES + RAMIFIED_SLICES:
+        for P in enumerate_candidates(locs, pool, N, r):
+            types.update(t for _, t in P.points)
+    for P in (hypergeometric(), kloosterman(), fourpoint(), *fourier_battery()):
+        types.update(t for _, t in P.points)
+    return sorted(types, key=repr)
+
+
+def test_twist_scores_read_off_the_untwisted_type():
+    types = _per_point_types()
+    assert len(types) == 115
+    for t in types:
+        r = rank(t)
+        assert irregularity(t) == sum(slope(f.phi) * f.rank() for f in t.factors)
+        assert fourier_inf_term(t) == sum((slope(f.phi) - 1) * f.rank() for f in t.factors if slope(f.phi) > 1)
+        assert quasi_order(t) == math.lcm(*(a.denominator for a in monodromy_exponents(t)))
+        # every finite option's score is the rank term of its twisted type
+        assert _point_options(t, r) == [
+            (psi, al, transforms.point_rank_term(twist_local(t, psi, al), r))
+            for psi in _reference_psis(t.factors)
+            for al in _reference_shifts(t)
+        ]
+        for psi in _reference_psis(t.factors):
+            irr, four, cancelled = _twist_reads(t, psi)
+            for b in sorted({F(0), *_reference_shifts(t)}):
+                tt = twist_local(t, psi, b)
+                assert (irr, four) == (irregularity(tt), fourier_inf_term(tt))
+                # infinity: the cancel test, then the term of every exponent g
+                assert (irr == 0) == all(f.phi.is_zero() for f in tt.factors)
+                for g in {F(0), *(a for f in tt.factors for a, _ in f.reg.blocks)}:
+                    assert irr + r - cancelled[(g - b) % 1] == transforms.point_rank_term(tt, r, g)
+
+
+# --- every first step of the search leads to the same verdict -------------
+
+
+def _kind(P: Problem) -> str:
+    try:
+        res = run_adk(P)
+    except RigidconnError:
+        return "raise"
+    return "certificate" if isinstance(res, Certificate) else "not_rigid"
+
+
+def test_every_rank_decreasing_first_step_ends_alike():
+    # the search takes the first candidate; any other would end in the
+    # same kind of outcome, and a candidate with none is stuck
+    widest = 0
+    for name in ("012-N2-r2", "01-N3-r2"):
+        _, locs, pool, N, r = next(s for s in CENSUS_SLICES if s[0] == name)
+        for P in enumerate_candidates(locs, pool, N, r):
+            if rig_index(P) != 2:
+                continue
+            cur, _ = normalize_problem(P)
+            kinds = []
+            for twist, mc in _reference_mc_moves(cur):
+                try:
+                    kinds.append(_kind(mc.apply(twist.apply(cur))))
+                except RigidconnError:
+                    kinds.append("raise")
+            widest = max(widest, len(kinds))
+            assert set(kinds) == ({_kind(P)} if kinds else set()), P
+            if not kinds:
+                assert isinstance(run_adk(P), NotRigid)
+    assert widest >= 2

@@ -391,6 +391,12 @@ def test_cmd_mc(files):
         assert code == EXIT_INPUT and out == "" and err.startswith("error: ")
 
 
+def test_cmd_mc_with_an_integral_chi_exponent_names_it(files):
+    code, out, err = run(["mc", files["hyper"], "--chi", "0"])
+    assert (code, out) == (2, "")
+    assert err == "error: the exponent of chi must not be an integer, got 0\n"
+
+
 def test_cmd_missing_file():
     code, _, err = run(["rig", "/nonexistent/problem.json"])
     assert code == EXIT_INPUT and err
