@@ -1,16 +1,19 @@
 """The reduction loop: normalization, case analysis, greedy
 rank-decreasing steps, certificates and replay.
 
-A run alternates normalize_problem (Moebius position, apparent
-singularities) with reduce_step (Twist+MC when infinity is unramified,
-Twist+Fourier when a ramified factor sits at infinity) until rank one.
-reduce_step scores each twist option per point, off the untwisted type,
-and twists the problem only by the twist it applies.
-Each move is a frozen record of its kind -- Moebius, AddApparent, Twist,
-Mc or Fourier -- holding its parameters and predicted_rank, the rank it
+A run alternates normalize_problem (a Moebius move that takes the
+ramified point to infinity) with reduce_step (Twist+MC when infinity is
+unramified, Twist+Fourier when a ramified factor sits at infinity)
+until rank one.  reduce_step scores each twist option per point, off
+the untwisted type, and twists the problem only by the twist it applies.
+Each move is a frozen record of its kind -- Moebius, Twist, Mc or
+Fourier -- holding its parameters and predicted_rank, the rank it
 leaves behind; apply(P) makes the move and undo(P) inverts it.  The
 Certificate is the list of records, and replay_certificate undoes them
-from the terminal problem back to the origin.
+from the terminal problem back to the origin, which it must equal.
+A problem never lists a point of trivial type, so the run adds no
+apparent points; the AddApparent record is kept only so that older
+certificates, which have such steps, still parse and replay.
 """
 
 from __future__ import annotations
@@ -160,20 +163,20 @@ class Moebius:
 
 @dataclass(frozen=True)
 class AddApparent:
+    """A trivial point at loc, which a problem does not list: apply is
+    the identity, and undo checks that the point is still trivial."""
+
     kind: ClassVar[str] = "add_apparent"
-    loc: Location  # gains the trivial formal type
+    loc: Location
     predicted_rank: int
 
     def apply(self, P: Problem) -> Problem:
-        return P.with_point(self.loc, FormalType.trivial(P.rank()))
+        return P
 
     def undo(self, P: Problem) -> Problem:
-        t = P.at(self.loc)
-        if t is None:
-            return P  # the apparent point evaporated through a transform round
-        if not t.is_trivial():
+        if not P.at(self.loc).is_trivial():
             raise ReplayMismatch(f"apparent singularity at {self.loc!r} is not trivial on replay")
-        return P.drop_point(self.loc)
+        return P
 
 
 @dataclass(frozen=True)
@@ -231,49 +234,26 @@ def _special_locations(P: Problem) -> list[Location]:
     return [loc for loc, t in P.points if any(f.phi.ram >= 2 for f in t.factors)]
 
 
-def _apparent_location_candidates():
-    yield Location.of(0)
-    yield Location.of(1)
-    k = 1
-    while True:
-        yield Location.of(-k)
-        k += 1
-        yield Location.of(k)
-
-
 def normalize_problem(P: Problem) -> tuple[Problem, list[StepRecord]]:
+    """P with its special point, the one with a ramified factor, at
+    infinity, and the Moebius move that took it there (none when it is
+    there already or P has no special point)."""
     special = _special_locations(P)
     if len(special) >= 2:
         raise TwoSpecialPoints(f"ramified factors at {special[0]!r} and {special[1]!r}")
-    steps: list[StepRecord] = []
-    r = P.rank()
-
-    zero, one = Location.of(0), Location.of(1)
-    # with the special point (or no singular point) at infinity no Moebius
-    # move is needed: 0, 1 and infinity are filled in by apparent points
-    if special and not special[0].is_inf:
-        s_inf = special[0]
-        # choose destinations for 0 and 1 among the other singular points,
-        # preferring to keep 0 and 1 where they are
-        rank_of = {zero: 0, one: 1}
-        others = [l for l in P.locations() if l != s_inf]
-        ordered = sorted(others, key=lambda l: (rank_of.get(l, 2), l.sort_key()))
-        # a single-point problem gets a plain shift of the special point
-        s0 = ordered[0] if ordered else zero
-        s1 = ordered[1] if len(ordered) > 1 else None
-        steps.append(Moebius(moebius_coeffs(s_inf, s0, s1), r))
-        P = steps[-1].apply(P)
-
-    for cand in _apparent_location_candidates():
-        if len(P.points) >= 3 and P.at(zero) is not None and P.at(one) is not None:
-            break
-        if P.at(cand) is None:
-            steps.append(AddApparent(cand, r))
-            P = steps[-1].apply(P)
-    if P.at(INF) is None:
-        steps.append(AddApparent(INF, r))
-        P = steps[-1].apply(P)
-    return P, steps
+    if not special or special[0].is_inf:
+        return P, []
+    s_inf = special[0]
+    # choose destinations for 0 and 1 among the other singular points,
+    # preferring to keep 0 and 1 where they are
+    rank_of = {Location.of(0): 0, Location.of(1): 1}
+    others = [l for l in P.locations() if l != s_inf]
+    ordered = sorted(others, key=lambda l: (rank_of.get(l, 2), l.sort_key()))
+    # a single-point problem gets a plain shift of the special point
+    s0 = ordered[0] if ordered else Location.of(0)
+    s1 = ordered[1] if len(ordered) > 1 else None
+    step = Moebius(moebius_coeffs(s_inf, s0, s1), P.rank())
+    return step.apply(P), [step]
 
 
 # -- reduction step --------------------------------------------------
@@ -303,7 +283,7 @@ def reduce_step(P: Problem):
     r = P.rank()
     if r < 2:
         raise InvariantViolation(f"reduction step at rank {r}")
-    tinf = P.at(INF) or FormalType.trivial(r)
+    tinf = P.at(INF)
     ramified_at_inf = any(f.phi.ram >= 2 for f in tinf.factors)
     if ramified_at_inf:
         return _reduce_case_b(P, tinf, r)
@@ -445,15 +425,9 @@ def replay_certificate(C: Certificate) -> Problem:
 def _problem_diff(got: Problem, want: Problem) -> str | None:
     """First discrepancy between the singular data of two problems, or
     None; N is ignored (it may grow along a legitimate round trip)."""
-    locs_got, locs_want = got.locations(), want.locations()
-    for loc in locs_want:
-        if got.at(loc) is None:
-            return f"missing point {loc!r}"
-    for loc in locs_got:
-        if want.at(loc) is None:
-            return f"extra point {loc!r}"
-    for loc in locs_want:
-        tg, tw = got.at(loc), want.at(loc)
-        if tg != tw:
-            return f"at {loc!r}: {tg!r} != {tw!r}"
-    return None
+    if got.points == want.points:
+        return None
+    # both sides are canonical, so they differ at a point one of them lists
+    locs = sorted({*got.locations(), *want.locations()}, key=Location.sort_key)
+    loc = next(l for l in locs if got.at(l) != want.at(l))
+    return f"at {loc!r}: {got.at(loc)!r} != {want.at(loc)!r}"

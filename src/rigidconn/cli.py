@@ -92,11 +92,15 @@ class SemanticError(RigidconnError):
 # MAX_LEVEL or below; rt(c, n) with c at level L may bring in roots of
 # unity of order 2*n*L, so n*L is capped before the root is taken.  The
 # Fourier legs solve series to order p + q + 2 for a polar part with
-# leading term a_q t^(-q/p), so q is capped too.
+# leading term a_q t^(-q/p), so q is capped too.  The rank of a point is
+# capped before its type is built: the rigidity index pays the square of
+# the block count, a reduction up to r - 1 steps, a ramified leg grows
+# with p <= r, and a transform fills an unlisted point with r blocks.
 
 MAX_LEVEL = 360  # cyclotomic level; n in z(n), n*L in rt(c, n), |e| in ^e
 MAX_RAMIFICATION = 60  # p of a polar part sum a_j t^(-j/p)
 MAX_POLE_ORDER = 120  # q of its leading term a_q t^(-q/p), in normal form
+MAX_RANK = 12  # rank of the formal type at each point of a problem
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z]+)|(?P<sym>[-+*/^(),])|(?P<bad>\S))")
 
@@ -364,6 +368,7 @@ _PROBLEM_VERSION = 1
 
 
 def problem_to_dict(P: Problem) -> dict:
+    _printable("rank", P.rank(), MAX_RANK)
     points = []
     for loc, t in P.points:
         factors = []
@@ -427,14 +432,20 @@ def _blocks(r) -> list:
 
 
 def _exp_factor(f) -> tuple:
+    """(phi, blocks) of a factor document."""
     _check_fields(f, {"phi", "reg"}, "factor")
     phi = _field(parse_polar, f, "phi")
-    return phi, RegularPart.make([b for bs in _each(_blocks, f.get("reg"), "reg") for b in bs])
+    return phi, [b for bs in _each(_blocks, f.get("reg"), "reg") for b in bs]
 
 
 def _point(pt) -> tuple:
     _check_fields(pt, {"loc", "factors"}, "point")
-    return _field(parse_loc, pt, "loc"), FormalType.make(_each(_exp_factor, pt.get("factors"), "factors"))
+    loc = _field(parse_loc, pt, "loc")
+    factors = _each(_exp_factor, pt.get("factors"), "factors")
+    r = sum(phi.ram * size for phi, blocks in factors for _, size in blocks)
+    if r > MAX_RANK:
+        raise SemanticError(f"rank {r} at {loc_str(loc)} exceeds {MAX_RANK}")
+    return loc, FormalType.make([(phi, RegularPart.make(blocks)) for phi, blocks in factors])
 
 
 def problem_from_dict(d: dict) -> Problem:
@@ -668,10 +679,9 @@ def _cmd_enumerate(args, out) -> int:
 def _cmd_stokes_arcs(args, out) -> int:
     P = _load_problem(args.file)
     loc = parse_loc(args.point)
-    t = P.at(loc)
-    if t is None:
+    if loc not in P.locations():
         raise SemanticError(f"no singular point at {args.point!r}")
-    phis = [f.phi for f in t.factors]
+    phis = [f.phi for f in P.at(loc).factors]
     p = math.lcm(*(q.ram for q in phis))
     report = []
     for psi in phis:

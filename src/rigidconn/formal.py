@@ -148,7 +148,7 @@ class FormalType:
 
     @staticmethod
     def trivial(r: int) -> "FormalType":
-        """Apparent-singularity data: r copies of exponent 0, size 1."""
+        """The type of a smooth point: r copies of exponent 0, size 1."""
         return FormalType.regular(RegularPart.make([(Fraction(0), 1)] * r))
 
     @cached_property
@@ -176,7 +176,9 @@ class FormalType:
 @dataclass(frozen=True)
 class Problem:
     """Formal data of a connection: one FormalType per singular point,
-    common total rank, quasi-unipotency order N."""
+    common total rank, quasi-unipotency order N.  A point of trivial type
+    is smooth and is not listed, so equal data compare equal; the trivial
+    connection lists the one point (INF, trivial type)."""
 
     N: int
     points: tuple[tuple[Location, FormalType], ...]
@@ -194,27 +196,23 @@ class Problem:
             raise FormalError(f"rank mismatch across points: {sorted(ranks)}")
         if not pts:
             raise FormalError("a problem needs at least one point")
+        r = ranks.pop()
+        pts = [pt for pt in pts if not pt[1].is_trivial()] or [(INF, FormalType.trivial(r))]
         pts.sort(key=lambda pt: pt[0].sort_key())
         return Problem(int(N), tuple(pts))
 
     def rank(self) -> int:
         return rank(self.points[0][1])
 
-    def at(self, loc: Location) -> FormalType | None:
+    def at(self, loc: Location) -> FormalType:
+        """The type at loc; trivial where no point is listed."""
         for l, t in self.points:
             if l == loc:
                 return t
-        return None
+        return FormalType.trivial(self.rank())
 
     def locations(self) -> list[Location]:
         return [l for l, _ in self.points]
-
-    def with_point(self, loc: Location, t: FormalType) -> "Problem":
-        return Problem.make(self.N, [(l, tt) for l, tt in self.points if l != loc] + [(loc, t)])
-
-    def drop_point(self, loc: Location) -> "Problem":
-        pts = [(l, tt) for l, tt in self.points if l != loc]
-        return Problem.make(self.N, pts)
 
 
 # -- operations ------------------------------------------------------

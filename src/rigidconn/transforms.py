@@ -12,8 +12,11 @@ polar part of the critical value at u solving s(u) = w^m, in closed
 form; the output ramification is |m|.
 Regular-part data (exponents mod 1, Jordan block sizes) pass through
 unchanged: exact for the slope-zero legs, where t@ - a -> tau@ + (a+1)
-is the identity modulo 1; ramified legs use the same rule, guarded by
-the rigidity-preservation and oracle cross-checks.
+is the identity modulo 1.  The ramified legs use the same rule, and it
+is wrong there: the explicit stationary-phase formulas twist the regular
+part on the ramified cover, so a transform through a ramified leg can
+break the Fuchs relation (an integral total exponent sum).  Neither the
+rigidity-index check nor the tame matrix oracle sees this defect.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def twist_global(P: Problem, L: RankOneData) -> Problem:
     type there."""
     pts = dict(P.points)
     for loc, psi, b in L.points:
-        pts[loc] = twist_local(pts.get(loc) or FormalType.trivial(P.rank()), psi, b)
+        pts[loc] = twist_local(P.at(loc), psi, b)
     return Problem.make(P.N, pts.items())
 
 
@@ -217,7 +220,6 @@ def reconstruct_type(vanishing: list[ExpFactor], r: int) -> FormalType:
 def fourier_global(P: Problem) -> Problem:
     """Fourier transform of the formal data of an irreducible middle
     extension, localized at infinity."""
-    r = P.rank()
     inf_factors: list[ExpFactor] = []
     vanishing: list[tuple[Location, ExpFactor]] = []
     for loc, t in P.points:
@@ -225,8 +227,7 @@ def fourier_global(P: Problem) -> Problem:
             continue
         for f in vc_factors(t):
             inf_factors.append(finite_to_inf(loc.value, f))
-    tinf = P.at(INF) or FormalType.trivial(r)
-    for f in tinf.factors:
+    for f in P.at(INF).factors:
         if slope(f.phi) > 1:
             inf_factors.append(inf_to_inf(f))
         else:
@@ -238,14 +239,11 @@ def fourier_global(P: Problem) -> Problem:
     if rp != fourier_rank_prediction(P):
         raise InvariantViolation("leg ranks disagree with the rank formula")
 
-    new_points: list[tuple[Location, FormalType]] = [(INF, FormalType.make(inf_factors))]
     groups: dict[Location, list[ExpFactor]] = {}
     for loc, g in vanishing:
         groups.setdefault(loc, []).append(g)
-    for loc, gs in groups.items():
-        t = reconstruct_type(gs, rp)
-        if not t.is_trivial():
-            new_points.append((loc, t))
+    new_points = [(INF, FormalType.make(inf_factors))]
+    new_points += [(loc, reconstruct_type(gs, rp)) for loc, gs in groups.items()]
     n2 = math.lcm(P.N, *(quasi_order(t) for _, t in new_points))
     return Problem.make(n2, new_points)
 
@@ -304,15 +302,14 @@ def mc_rank_prediction(P: Problem, chi_exponent) -> int:
           + point_rank_term(t_inf, r, chi) - r."""
     r = P.rank()
     finite = sum(point_rank_term(t, r) for loc, t in P.points if not loc.is_inf)
-    tinf = P.at(INF) or FormalType.trivial(r)
-    return finite + point_rank_term(tinf, r, Fraction(chi_exponent) % 1) - r
+    return finite + point_rank_term(P.at(INF), r, Fraction(chi_exponent) % 1) - r
 
 
 def fourier_rank_prediction(P: Problem) -> int:
     """r' = sum over finite x of point_rank_term(t_x, r) + fourier_inf_term(t_inf)."""
     r = P.rank()
     finite = sum(point_rank_term(t, r) for loc, t in P.points if not loc.is_inf)
-    return finite + fourier_inf_term(P.at(INF) or FormalType.trivial(r))
+    return finite + fourier_inf_term(P.at(INF))
 
 
 def _finite_irregular_values(P: Problem):
@@ -333,7 +330,7 @@ def middle_convolution(P: Problem, chi_exponent) -> Problem:
     g = Fraction(chi_exponent) % 1
     if g == 0:
         raise TrivialChi("middle convolution with the trivial character")
-    tinf = P.at(INF) or FormalType.trivial(P.rank())
+    tinf = P.at(INF)
     if any(not f.phi.is_zero() for f in tinf.factors):
         raise TransformsError("infinity must be regular; twist the polar part away first")
     # scalar monodromy at infinity is the textbook situation; the engine
@@ -342,8 +339,6 @@ def middle_convolution(P: Problem, chi_exponent) -> Problem:
     scalar_inf = _scalar_exponent_at_inf(tinf)
     predicted = mc_rank_prediction(P, g)
 
-    # fourier_global ignores a trivial finite point, so the Kummer twist
-    # may leave one at 0
     kummer = RankOneData.make([(0, PolarPart.zero(), -g), (INF, PolarPart.zero(), g)])
     out = fourier_inverse(twist_global(fourier_global(P), kummer))
     n2 = math.lcm(P.N, g.denominator)
@@ -355,7 +350,7 @@ def middle_convolution(P: Problem, chi_exponent) -> Problem:
         raise InvariantViolation("middle convolution must preserve rigidity index")
     if _finite_irregular_values(out) != _finite_irregular_values(P):
         raise InvariantViolation("middle convolution must preserve finite irregular values")
-    tinf_out = out.at(INF) or FormalType.trivial(out.rank())
+    tinf_out = out.at(INF)
     if any(not f.phi.is_zero() for f in tinf_out.factors):
         raise InvariantViolation("middle convolution output must be regular at infinity")
     if scalar_inf == g and _scalar_exponent_at_inf(tinf_out) != (-g) % 1:

@@ -42,22 +42,7 @@ def el(p, terms, *blocks) -> FormalType:
 def problems_equal(P: Problem, Q: Problem) -> bool:
     """Same formal data at the same locations; the declared common
     denominator N is bookkeeping and is ignored."""
-    da = dict(P.points)
-    db = dict(Q.points)
-    if set(da) != set(db):
-        return False
-    return all(da[l] == db[l] for l in da)
-
-
-def problems_equal_nontrivial(P: Problem, Q: Problem) -> bool:
-    """problems_equal after dropping points carrying the trivial formal
-    type (rank-matching identity monodromy), which a transform may either
-    drop or retain."""
-    da = {l: t for l, t in P.points if not t.is_trivial()}
-    db = {l: t for l, t in Q.points if not t.is_trivial()}
-    if set(da) != set(db):
-        return False
-    return all(da[l] == db[l] for l in da)
+    return P.points == Q.points
 
 
 def hypergeometric() -> Problem:

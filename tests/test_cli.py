@@ -28,6 +28,7 @@ from rigidconn.cli import (
     MAX_LEVEL,
     MAX_POLE_ORDER,
     MAX_RAMIFICATION,
+    MAX_RANK,
     ParseError,
     SemanticError,
     coeff_str,
@@ -46,7 +47,7 @@ import rigidconn
 from rigidconn.cyclo import CycloError, CycloNum, UndecidedSign
 from rigidconn.enumerate import EnumerationError
 from rigidconn.errors import RigidconnError
-from rigidconn.formal import INF, FormalError, FormalType, Location
+from rigidconn.formal import INF, FormalError, FormalType, Location, Problem, RegularPart
 from rigidconn.linalg import LinAlgError
 from rigidconn.puiseux import PolarPart, PuiseuxError
 from rigidconn.radicals import RadicalError, cadd, ceq, cneg, croot
@@ -187,6 +188,31 @@ def test_parser_accepts_values_up_to_its_caps():
     assert parse_polar(f"t^(-{2 * MAX_POLE_ORDER}/2)").terms == ((MAX_POLE_ORDER, 1),)
 
 
+def _rank_document(phi: str, blocks: list) -> dict:
+    """Two points, 0 and 1, each with one factor; no point at infinity."""
+    point = {"factors": [{"phi": phi, "reg": [{"exp": "1/2", "blocks": blocks}]}]}
+    return {"version": 1, "N": 2, "points": [{"loc": "0", **point}, {"loc": "1", **point}]}
+
+
+@pytest.mark.parametrize(
+    "phi, blocks", [("0", [MAX_RANK]), ("0", [1] * MAX_RANK), (f"t^(-1/{MAX_RANK})", [1])]
+)
+def test_problem_rank_up_to_the_cap_is_read(phi, blocks):
+    assert parse_problem(json.dumps(_rank_document(phi, blocks))).rank() == MAX_RANK
+
+
+@pytest.mark.parametrize(
+    "phi, blocks", [("0", [MAX_RANK + 1]), ("0", [1] * (MAX_RANK + 1)), (f"t^(-1/{MAX_RANK + 1})", [1])]
+)
+def test_problem_rank_above_the_cap_exits_2(phi, blocks, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_rank_document(phi, blocks)), encoding="utf-8")
+    for argv in (["rig", str(path)], ["fourier", str(path)], ["mc", str(path), "--chi", "1/2"], ["reduce", str(path)]):
+        code, out, err = run(argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: rank {MAX_RANK + 1} at 0 exceeds {MAX_RANK}\n"
+
+
 def test_printers_refuse_what_the_grammar_rejects():
     for value in (CycloNum.zeta(504), cadd(CycloNum.zeta(20), CycloNum.zeta(27))):
         with pytest.raises(SemanticError, match="cyclotomic level"):
@@ -197,6 +223,8 @@ def test_printers_refuse_what_the_grammar_rejects():
         polar_str(PolarPart.make(61, [(1, CycloNum.one())]))
     with pytest.raises(SemanticError, match="pole order 121"):
         polar_str(PolarPart.make(2, [(121, CycloNum.one())]))
+    with pytest.raises(SemanticError, match=f"rank {MAX_RANK + 1} exceeds the grammar cap {MAX_RANK}"):
+        print_problem(Problem.make(2, [(INF, FormalType.regular(RegularPart.single(F(1, 2), MAX_RANK + 1)))]))
     with pytest.raises(SemanticError, match="root index times cyclotomic level"):
         coeff_str(croot(CycloNum.from_rational(2), MAX_LEVEL + 1))
 
@@ -441,6 +469,13 @@ def test_cmd_stokes_arcs(files):
     assert all(p["full_circle"] == (p["psi"] == p["phi"]) for p in report["pairs"])
 
 
+def test_cmd_stokes_arcs_at_an_unlisted_location(files):
+    # the type there reads as trivial, but it is not a singular point
+    code, out, err = run(["stokes-arcs", files["kloos"], "--point", "1"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: no singular point at '1'\n"
+
+
 def test_undecided_sign_exits_3(files, monkeypatch):
     # UndecidedSign derives from the error root too, and is caught first
     def undecided(*args):
@@ -547,7 +582,8 @@ GOLDEN = Path(__file__).parent / "golden"
     "cert, path, value, where",
     [
         ("cert_kloos0", ["steps", 0, "coeffs", 1], "1/0", "steps[0].coeffs[1]: line 1, column 4: zero denominator"),
-        ("cert_kloos0", ["steps", 1, "loc"], "z(3", "steps[1].loc: line 1, column 4: expected ')', got 'eof'"),
+        # only a certificate written with add_apparent steps has a step location
+        ("cert_kloos_v1", ["steps", 0, "loc"], "z(3", "steps[0].loc: line 1, column 4: expected ')', got 'eof'"),
         ("cert_hyper", ["steps", 0, "chi_exponent"], "1/2x", "steps[0].chi_exponent: line 1, column 4: trailing input"),
         ("cert_hyper", ["origin", "points", 2, "factors", 0, "phi"], "t^(-1", "origin.points[2].factors[0].phi: line 1, column 6: expected ')', got 'eof'"),
     ],

@@ -4,8 +4,11 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidconn.cli import print_problem
+from rigidconn.cyclo import CycloNum
 from rigidconn.enumerate import enumerate_candidates
 from rigidconn.formal import (
     INF,
@@ -83,6 +86,33 @@ def test_rank_mismatch_rejected():
 def test_duplicate_point_rejected():
     with pytest.raises(FormalError):
         Problem.make(1, [(Location.of(0), reg((0, 1))), (Location.of(0), reg((0, 1)))])
+
+
+# locations to put a trivial point at, infinity included
+_LOCATIONS = [INF, *(Location.of(x) for x in (0, 1, 2, -1, F(1, 2))), Location.of(CycloNum.zeta(3))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_trivial_point_is_not_listed(data):
+    # a smooth point is the same connection listed or not: equal problems, equal hashes
+    P = data.draw(st.sampled_from(_helper_problems()))
+    kept = data.draw(st.lists(st.sampled_from(P.points), min_size=1, unique=True))
+    Q = Problem.make(P.N, kept)
+    free = [loc for loc in _LOCATIONS if loc not in Q.locations()]
+    added = data.draw(st.lists(st.sampled_from(free), min_size=1, unique=True))
+    trivial = FormalType.trivial(P.rank())
+    R = Problem.make(P.N, [*kept, *((loc, trivial) for loc in added)])
+    assert R == Q and hash(R) == hash(Q)
+    assert all(R.at(loc) == trivial for loc in added)
+
+
+def test_the_trivial_connection_lists_one_point_at_infinity():
+    for r in (1, 3):
+        t = FormalType.trivial(r)
+        P = Problem.make(1, [(Location.of(0), t), (Location.of(1), t)])
+        assert P.points == ((INF, t),) and P.rank() == r
+        assert P == Problem.make(1, [(INF, t)]) and rig_index(P) == 2 * r * r
 
 
 def test_rig_index_values():

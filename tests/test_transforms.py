@@ -163,17 +163,19 @@ def test_twist_at_an_unlisted_location_acts_on_the_trivial_type():
     ids=["scalar", "scalar_irregular", "scalar_slope_2"],
 )
 def test_twist_that_trivialises_a_point_is_undone_after_the_point_is_dropped(t):
-    # a point of scalar type (psi, b) is trivialised by the twist (-psi, -b);
-    # a transform may then drop it, and the inverse twist brings it back
+    # a point of scalar type (psi, b) is trivialised by the twist (-psi, -b),
+    # so the twisted problem does not list it; the inverse twist acts on the
+    # trivial type there and brings it back
     x = Location.of(2)
     f = t.factors[0]
-    P = hypergeometric().with_point(x, t)
+    H = hypergeometric()
+    P = Problem.make(H.N, [*H.points, (x, t)])
     L = RankOneData.make(
         [(Location.of(0), PolarPart.zero(), F(1, 3)), (x, puiseux.polar_neg(f.phi), -f.reg.blocks[0][0])]
     )
     Q = twist_global(P, L)
-    assert Q.at(x).is_trivial()
-    assert twist_global(Q.drop_point(x), L.inverse()) == P
+    assert x not in Q.locations() and Q.at(x).is_trivial()
+    assert twist_global(Q, L.inverse()) == P
 
 
 def test_mc_trivial_chi_rejected():
@@ -287,4 +289,4 @@ def test_series_checks_survive_optimized_mode():
         timeout=120,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "False step 1 (fourier) failed to invert: series under-resolved: w^0 read, certified below w^0 only\n"
+    assert res.stdout == "False step 0 (fourier) failed to invert: series under-resolved: w^0 read, certified below w^0 only\n"
