@@ -19,8 +19,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath.ctx_iv import MPIntervalContext
-
 from .errors import RigidconnError
 
 DEFAULT_PRECISION_BITS = 128
@@ -361,9 +359,13 @@ def _galois_nums(k: int, n: int, v: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _iv_context(bits: int) -> MPIntervalContext:
+def _iv_context(bits: int):
     """A private mpmath interval context at the given precision; the
-    shared mpmath.iv is never touched."""
+    shared mpmath.iv is never touched.  mpmath is imported here, on the
+    first interval operation, so work that needs no interval never loads
+    it."""
+    from mpmath.ctx_iv import MPIntervalContext
+
     ctx = MPIntervalContext()
     ctx.prec = bits
     return ctx

@@ -26,7 +26,7 @@ from .puiseux import (
     PolarPart,
     canonical_rep,
     diff_pole_order,
-    galois_act,
+    orbit,
     polar_add,
 )
 from .radicals import csort_key
@@ -243,16 +243,13 @@ def hom_irregularity(m: FormalType, nt: FormalType) -> int:
     over the common ramification cover."""
     rams = [f.phi.ram for f in m.factors] + [f.phi.ram for f in nt.factors]
     e = math.lcm(*rams)
+    nt_orbits = [(fj.reg.rank(), orbit(fj.phi)) for fj in nt.factors]
     total = 0
     for fi in m.factors:
-        pi, ri = fi.phi.ram, fi.reg.rank()
-        for fj in nt.factors:
-            pj, rj = fj.phi.ram, fj.reg.rank()
-            for s in range(pi):
-                phi_s = galois_act(fi.phi, s)
-                for s2 in range(pj):
-                    psi_s2 = galois_act(fj.phi, s2)
-                    total += ri * rj * diff_pole_order(phi_s, psi_s2, level=e)
+        ri = fi.reg.rank()
+        for phi_s in orbit(fi.phi):
+            for rj, psi_orbit in nt_orbits:
+                total += ri * rj * sum(diff_pole_order(phi_s, psi, level=e) for psi in psi_orbit)
     if total % e:
         raise FormalError("hom irregularity must be integral")
     return total // e

@@ -19,12 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath.ctx_iv import ivmpf
+from typing import TYPE_CHECKING
 
 from .cyclo import CycloNum, UndecidedSign, angle_exact, shift, turns
 from .puiseux import PolarPart, PuiseuxError, polar_add, polar_neg
 from .radicals import RadicalCoeff, cembed
+
+if TYPE_CHECKING:
+    from mpmath.ctx_iv import ivmpf
 
 
 @dataclass(frozen=True)

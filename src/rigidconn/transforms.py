@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclo import CycloNum
 from .errors import RigidconnError
@@ -326,35 +327,52 @@ def _finite_irregular_values(P: Problem):
 
 def middle_convolution(P: Problem, chi_exponent) -> Problem:
     """MC_chi via Fourier, Kummer twist at {0, inf} of the dual line,
-    inverse Fourier."""
-    g = Fraction(chi_exponent) % 1
-    if g == 0:
-        raise TrivialChi("middle convolution with the trivial character")
-    tinf = P.at(INF)
-    if any(not f.phi.is_zero() for f in tinf.factors):
-        raise TransformsError("infinity must be regular; twist the polar part away first")
-    # scalar monodromy at infinity is the textbook situation; the engine
-    # is exact for any regular infinity, and the chi^{-1} bullet below is
-    # checked whenever the scalar hypothesis actually holds
-    scalar_inf = _scalar_exponent_at_inf(tinf)
-    predicted = mc_rank_prediction(P, g)
+    inverse Fourier.  The outcome, a problem or a typed raise, is
+    memoized per (P, chi mod 1); a memoized raise is raised again as a
+    fresh instance of its type."""
+    out = _mc_outcome(P, Fraction(chi_exponent) % 1)
+    if isinstance(out, Problem):
+        return out
+    kind, args = out
+    raise kind(*args)
 
-    kummer = RankOneData.make([(0, PolarPart.zero(), -g), (INF, PolarPart.zero(), g)])
-    out = fourier_inverse(twist_global(fourier_global(P), kummer))
-    n2 = math.lcm(P.N, g.denominator)
-    out = Problem.make(math.lcm(n2, *(quasi_order(t) for _, t in out.points)), out.points)
 
-    if out.rank() != predicted:
-        raise InvariantViolation("middle convolution rank formula violated")
-    if rig_index(out) != rig_index(P):
-        raise InvariantViolation("middle convolution must preserve rigidity index")
-    if _finite_irregular_values(out) != _finite_irregular_values(P):
-        raise InvariantViolation("middle convolution must preserve finite irregular values")
-    tinf_out = out.at(INF)
-    if any(not f.phi.is_zero() for f in tinf_out.factors):
-        raise InvariantViolation("middle convolution output must be regular at infinity")
-    if scalar_inf == g and _scalar_exponent_at_inf(tinf_out) != (-g) % 1:
-        raise InvariantViolation("output at infinity must be scalar chi^{-1}")
+@lru_cache(maxsize=1024)
+def _mc_outcome(P: Problem, g: Fraction):
+    """middle_convolution(P, g), or the (type, args) of the typed error
+    it raises.  Problems compare and hash by structure, so the key is
+    exact; twist orbits of the ADK search keep landing on the same few
+    (P, g)."""
+    try:
+        if g == 0:
+            raise TrivialChi("middle convolution with the trivial character")
+        tinf = P.at(INF)
+        if any(not f.phi.is_zero() for f in tinf.factors):
+            raise TransformsError("infinity must be regular; twist the polar part away first")
+        # scalar monodromy at infinity is the textbook situation; the engine
+        # is exact for any regular infinity, and the chi^{-1} bullet below is
+        # checked whenever the scalar hypothesis actually holds
+        scalar_inf = _scalar_exponent_at_inf(tinf)
+        predicted = mc_rank_prediction(P, g)
+
+        kummer = RankOneData.make([(0, PolarPart.zero(), -g), (INF, PolarPart.zero(), g)])
+        out = fourier_inverse(twist_global(fourier_global(P), kummer))
+        n2 = math.lcm(P.N, g.denominator)
+        out = Problem.make(math.lcm(n2, *(quasi_order(t) for _, t in out.points)), out.points)
+
+        if out.rank() != predicted:
+            raise InvariantViolation("middle convolution rank formula violated")
+        if rig_index(out) != rig_index(P):
+            raise InvariantViolation("middle convolution must preserve rigidity index")
+        if _finite_irregular_values(out) != _finite_irregular_values(P):
+            raise InvariantViolation("middle convolution must preserve finite irregular values")
+        tinf_out = out.at(INF)
+        if any(not f.phi.is_zero() for f in tinf_out.factors):
+            raise InvariantViolation("middle convolution output must be regular at infinity")
+        if scalar_inf == g and _scalar_exponent_at_inf(tinf_out) != (-g) % 1:
+            raise InvariantViolation("output at infinity must be scalar chi^{-1}")
+    except RigidconnError as e:
+        return type(e), e.args
     return out
 
 

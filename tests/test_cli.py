@@ -393,7 +393,7 @@ def test_cmd_fourier(files):
     parse_problem(out)  # output is a valid problem file
 
 
-def test_cmd_fourier_failed_series_check_exits_2(files, monkeypatch):
+def test_cmd_fourier_failed_series_check_exits_2(files, fresh_mc_memo, monkeypatch):
     from rigidconn import puiseux
 
     power = puiseux.binomial_pow

@@ -1,10 +1,16 @@
 """Order arcs, boundary directions, Galois equivariance."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import rigidconn
 from rigidconn.cyclo import CycloNum, same_turn, shift
 from rigidconn.puiseux import PolarPart, PuiseuxError, galois_act
 from rigidconn.radicals import croot
@@ -144,3 +150,27 @@ def test_order_arcs_locate_an_irrational_boundary_within_1e20(q):
                 d = d - int(mpmath.nint(d.mid))
                 between.append(-1e-20 < d.a and d.b < 1e-20)
             assert between.count(True) == 1
+
+
+def test_mpmath_loads_on_the_first_interval_operation():
+    # commands that need no interval never import mpmath; the angle of
+    # -(1 + i) has two rational candidates, 1/8 and 5/8, and picking one
+    # takes the first interval
+    script = textwrap.dedent(
+        """
+        import sys
+        import rigidconn.adk, rigidconn.cli, rigidconn.stokes
+        from rigidconn.cyclo import CycloNum
+        from rigidconn.puiseux import PolarPart
+
+        print("mpmath" in sys.modules)
+        phi = PolarPart.unramified({1: CycloNum.one() + CycloNum.zeta(4)})
+        print(rigidconn.stokes.order_arcs(PolarPart.zero(), phi)[1])
+        print("mpmath" in sys.modules)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(rigidconn.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    want = (Arc(F(7, 8), F(3, 8)),)
+    assert res.stdout == f"False\n{want}\nTrue\n"

@@ -4,15 +4,18 @@ import os
 import subprocess
 import sys
 import textwrap
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import rigidconn
-from rigidconn import puiseux
+from rigidconn import puiseux, transforms
 from rigidconn.cli import parse_polar, polar_str
 from rigidconn.cyclo import CycloNum
+from rigidconn.enumerate import enumerate_candidates
+from rigidconn.errors import RigidconnError
 from rigidconn.formal import INF, ExpFactor, FormalType, Location, Problem, RegularPart, twist_local
 from rigidconn.linalg import mat
 from rigidconn.puiseux import PolarPart, slope
@@ -35,7 +38,7 @@ from rigidconn.transforms import (
     twist_global,
 )
 
-from helpers import F, el, hypergeometric, kloosterman, problems_equal, reg, zeta6
+from helpers import CENSUS_SLICES, F, el, hypergeometric, kloosterman, problems_equal, reg, zeta6
 
 ZERO, ONE = CycloNum.zero(), CycloNum.one()
 
@@ -65,7 +68,7 @@ def _leg_at_zero(text):
     return finite_to_inf(ZERO, ExpFactor(parse_polar(text), RegularPart.single(0)))
 
 
-def test_leg_series_stay_cyclotomic(monkeypatch):
+def test_leg_series_stay_cyclotomic(fresh_mc_memo, monkeypatch):
     # the leg's one root, rt(-3/2, 3), is taken after the polar part is
     # read, so no series that binomial_pow sees or returns carries it
     seen = []
@@ -197,6 +200,61 @@ def test_mc_inverse():
     Q = middle_convolution(P, F(1, 6))
     back = middle_convolution(Q, F(-1, 6))
     assert problems_equal(back, P)
+
+
+def _mc_outcome_of(P, chi):
+    """middle_convolution(P, chi), or the type and message of its raise."""
+    try:
+        return middle_convolution(P, chi)
+    except RigidconnError as e:
+        return type(e), str(e)
+
+
+def _mc_cases():
+    """(P, chi) over hypergeometric() and every rig = 2 candidate of the
+    01-N3-r2 census slice, with results and raises both present."""
+    cases = [(hypergeometric(), F(k, 6)) for k in range(6)]
+    _, locs, pool, N, r = next(s for s in CENSUS_SLICES if s[0] == "01-N3-r2")
+    for P in enumerate_candidates(locs, pool, N, r):
+        if rig_index(P) == 2:
+            cases += [(P, F(k, N)) for k in range(1, N)]
+    return cases
+
+
+def test_memoized_mc_gives_what_a_fresh_computation_gives(fresh_mc_memo):
+    cases = _mc_cases()
+    fresh = []
+    for P, chi in cases:
+        fresh_mc_memo.cache_clear()
+        fresh.append(_mc_outcome_of(P, chi))
+    fresh_mc_memo.cache_clear()
+    filled = [_mc_outcome_of(P, chi) for P, chi in cases]
+    misses = fresh_mc_memo.cache_info().misses
+    memoized = [_mc_outcome_of(P, chi + 1) for P, chi in cases]  # chi is read mod 1
+    assert fresh == filled == memoized
+    assert fresh_mc_memo.cache_info().misses == misses
+    assert any(isinstance(o, Problem) for o in fresh) and any(isinstance(o, tuple) for o in fresh)
+
+
+def test_memoized_mc_raise_is_a_fresh_instance_each_time(fresh_mc_memo):
+    vanishing = (TransformsError, "vanishing data exceed the ambient rank")
+    P, chi = next(c for c in _mc_cases() if _mc_outcome_of(*c) == vanishing)
+    fresh_mc_memo.cache_clear()
+    raised = []
+    for _ in range(3):
+        with pytest.raises(TransformsError, match=vanishing[1]) as info:
+            middle_convolution(P, chi)
+        raised.append(info.value)
+    assert fresh_mc_memo.cache_info()[:2] == (2, 1)  # hits, misses
+    assert len({id(e) for e in raised}) == 3
+    assert len({type(e) for e in raised}) == 1 and len({str(e) for e in raised}) == 1
+    # a re-raised stored instance would carry one more frame per raise
+    depths = [len(traceback.extract_tb(e.__traceback__)) for e in raised]
+    assert len(set(depths)) == 1
+
+
+def test_mc_memo_is_bounded():
+    assert transforms._mc_outcome.cache_info().maxsize == 1024
 
 
 def test_tuple_formal_data_scalar():
