@@ -11,9 +11,6 @@ Fourier -- holding its parameters and predicted_rank, the rank it
 leaves behind; apply(P) makes the move and undo(P) inverts it.  The
 Certificate is the list of records, and replay_certificate undoes them
 from the terminal problem back to the origin, which it must equal.
-A problem never lists a point of trivial type, so the run adds no
-apparent points; the AddApparent record is kept only so that older
-certificates, which have such steps, still parse and replay.
 """
 
 from __future__ import annotations
@@ -162,24 +159,6 @@ class Moebius:
 
 
 @dataclass(frozen=True)
-class AddApparent:
-    """A trivial point at loc, which a problem does not list: apply is
-    the identity, and undo checks that the point is still trivial."""
-
-    kind: ClassVar[str] = "add_apparent"
-    loc: Location
-    predicted_rank: int
-
-    def apply(self, P: Problem) -> Problem:
-        return P
-
-    def undo(self, P: Problem) -> Problem:
-        if not P.at(self.loc).is_trivial():
-            raise ReplayMismatch(f"apparent singularity at {self.loc!r} is not trivial on replay")
-        return P
-
-
-@dataclass(frozen=True)
 class Twist:
     kind: ClassVar[str] = "twist"
     points: RankOneData
@@ -217,7 +196,7 @@ class Fourier:
         return fourier_inverse(P)
 
 
-StepRecord = Moebius | AddApparent | Twist | Mc | Fourier
+StepRecord = Moebius | Twist | Mc | Fourier
 
 
 @dataclass(frozen=True)

@@ -514,7 +514,6 @@ def _predicted_rank(d: dict) -> int:
 # value from the step document).
 _STEP_FIELDS = {
     "coeffs": (lambda cs: [coeff_str(c) for c in cs], _moebius_coeffs),
-    "loc": (loc_str, lambda d: _field(parse_loc, d, "loc")),
     "points": (
         lambda L: [{"loc": loc_str(l), "phi": polar_str(psi), "shift": str(b)} for l, psi, b in L.points],
         lambda d: _twist_data(d.get("points")),

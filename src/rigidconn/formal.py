@@ -3,14 +3,13 @@ irregularity, formal-monodromy exponents and horizontal-hom dimensions.
 
 A FormalType is a merged multiset of factors (phi, R): phi a canonical
 minimal-or-zero polar part, R the regular part given by Jordan blocks
-(exponent mod 1, size).  The factor of ramification p and regular rank
-s contributes rank p*s.
+(exponent, size).  The factor of ramification p and regular rank s
+contributes rank p*s.
 
 Exponent convention: the factor (phi, p, block (alpha, k)) has formal
 monodromy exponents alpha + j/p, j = 0..p-1, each with multiplicity k.
-The literature sometimes inserts an extra constant shift depending on
-(p, q); any such global shift cancels in all End computations, which is
-where correctness matters here.
+So alpha matters only mod 1/p, and FormalType.make stores it in
+[0, 1/p): equal types compare equal.
 """
 
 from __future__ import annotations
@@ -72,10 +71,6 @@ class Location:
 INF = Location.inf()
 
 
-def _norm_exp(a) -> Fraction:
-    return Fraction(a) % 1
-
-
 @dataclass(frozen=True)
 class RegularPart:
     """Jordan data of a regular connection: blocks (exponent mod 1, size)."""
@@ -86,7 +81,7 @@ class RegularPart:
     def make(blocks) -> "RegularPart":
         # an exponent that is already a Fraction in [0, 1) is kept as it is
         clean = sorted(
-            ((a if type(a) is Fraction and 0 <= a < 1 else _norm_exp(a), int(s)) for a, s in blocks if s > 0),
+            ((a if type(a) is Fraction and 0 <= a < 1 else Fraction(a) % 1, int(s)) for a, s in blocks if s > 0),
             key=lambda b: (b[0], -b[1]),
         )
         if not clean:
@@ -119,13 +114,21 @@ class ExpFactor:
         return f"El({self.phi!r}, {self.reg!r})"
 
 
+def _mod_ram(reg: RegularPart, p: int) -> RegularPart:
+    """reg with each block exponent a stored as (p*a mod 1)/p."""
+    if p == 1 or all(p * a < 1 for a, _ in reg.blocks):
+        return reg
+    return RegularPart.make([((p * a) % 1 / p, s) for a, s in reg.blocks])
+
+
 @dataclass(frozen=True)
 class FormalType:
     factors: tuple[ExpFactor, ...]
 
     @staticmethod
     def make(factors) -> "FormalType":
-        """Canonicalize phis, merge factors on equal orbits, sort."""
+        """Canonicalize phis, merge factors on equal orbits, store each
+        block exponent of ramification p in [0, 1/p), sort."""
         merged: dict[PolarPart, RegularPart] = {}
         for f in factors:
             if isinstance(f, ExpFactor):
@@ -136,7 +139,7 @@ class FormalType:
             if rep in merged:
                 reg = RegularPart.make(merged[rep].blocks + reg.blocks)
             merged[rep] = reg
-        out = [ExpFactor(phi, reg) for phi, reg in merged.items()]
+        out = [ExpFactor(phi, _mod_ram(reg, phi.ram)) for phi, reg in merged.items()]
         out.sort(key=lambda f: (f.phi.sort_key(), f.reg.blocks))
         if not out:
             raise FormalError("formal type must have at least one factor")
@@ -159,8 +162,15 @@ class FormalType:
 
     @cached_property
     def exponent_sum(self) -> Fraction:
-        """Sum of the formal-monodromy exponents, computed once per instance."""
-        return sum(monodromy_exponents(self), Fraction(0))
+        """Sum of the formal-monodromy exponents, computed once per
+        instance: a block (a, s) of ramification p adds s*(p*a + (p-1)/2)."""
+        total, halves = Fraction(0), 0
+        for f in self.factors:
+            p = f.phi.ram
+            for a, s in f.reg.blocks:
+                total += p * s * a
+                halves += (p - 1) * s
+        return total + Fraction(halves, 2)
 
     def is_trivial(self) -> bool:
         return (
@@ -233,7 +243,7 @@ def monodromy_exponents(t: FormalType) -> list[Fraction]:
         p = f.phi.ram
         for a, s in f.reg.blocks:
             for k in range(p):
-                out.extend([_norm_exp(a + Fraction(k, p))] * s)
+                out.extend([a + Fraction(k, p)] * s)
     out.sort()
     return out
 
@@ -262,10 +272,9 @@ def hom_h0(m: FormalType, nt: FormalType) -> int:
         for fj in nt.factors:
             if not fi.phi == fj.phi:
                 continue
-            p = fi.phi.ram
             for a, k in fi.reg.blocks:
                 for b, l in fj.reg.blocks:
-                    if (p * (a - b)).denominator == 1:
+                    if a == b:
                         total += min(k, l)
     return total
 

@@ -9,14 +9,12 @@ Each stationary-phase leg writes s = d(phi)/dt on the cover t = z^e,
 and the critical value phi - t*s as one Laurent polynomial: a*z^(-j)
 in phi becomes (1 + j/e)*a*z^(-j).  One pullback_polar call reads the
 polar part of the critical value at u solving s(u) = w^m, in closed
-form; the output ramification is |m|.
-Regular-part data (exponents mod 1, Jordan block sizes) pass through
-unchanged: exact for the slope-zero legs, where t@ - a -> tau@ + (a+1)
-is the identity modulo 1.  The ramified legs use the same rule, and it
-is wrong there: the explicit stationary-phase formulas twist the regular
-part on the ramified cover, so a transform through a ramified leg can
-break the Fuchs relation (an integral total exponent sum).  Neither the
-rigidity-index check nor the tame matrix oracle sees this defect.
+form; the output ramification is |m|.  The regular part R goes with it
+as R tensor L_{(-1)^q}, q the leading numerator of phi, read on the
+output cover (Sabbah 2008): a block (a, k) becomes ((|e|*a + q/2)/|m|,
+k).  A slope-zero factor at a finite point passes R through unchanged.
+fourier_global rejects data whose exponent sum is not an integer (no
+connection has them) and checks that its output keeps the sum integral.
 """
 
 from __future__ import annotations
@@ -111,27 +109,27 @@ def twist_global(P: Problem, L: RankOneData) -> Problem:
 _BIG = 10**6  # truncation marker for exact Laurent polynomials
 
 
-def _critical_value_polar(phi_terms, e: int, m: int) -> PolarPart:
-    """Polar part (in w, ramification |m|) of the critical value phi - t*s at u
-    solving s(u) = w^m, s = d(phi)/dt on the cover t = z^e (e = p at a finite
-    point, -p at infinity): a*z^(-j) in phi gives s the term -(j/e)*a*z^(-j-e),
-    phi - t*s (1 + j/e)*a*z^(-j)."""
+def _critical_value_polar(phi_terms, reg: RegularPart, e: int, m: int) -> ExpFactor:
+    """The factor (in w, ramification |m|) of the critical value phi - t*s at
+    u solving s(u) = w^m, s = d(phi)/dt on the cover t = z^e (e = p at a
+    finite point, -p at infinity): a*z^(-j) in phi gives s the term
+    -(j/e)*a*z^(-j-e), phi - t*s (1 + j/e)*a*z^(-j).  A block (a, k) of reg
+    becomes ((|e|*a + q/2)/|m|, k), q the leading numerator of phi."""
     s = Lser({-j - e: cmul(a, Fraction(-j, e)) for j, a in phi_terms}, _BIG)
     value = Lser({-j: cmul(a, 1 + Fraction(j, e)) for j, a in phi_terms}, _BIG)
-    return PolarPart.make(abs(m), pullback_polar(s, m, value))
+    half_q = Fraction(phi_terms[0][0], 2)
+    blocks = [((abs(e) * a + half_q) / abs(m), k) for a, k in reg.blocks]
+    return ExpFactor(PolarPart.make(abs(m), pullback_polar(s, m, value)), RegularPart.make(blocks))
 
 
 def finite_to_inf(x: CycloNum, f: ExpFactor) -> ExpFactor:
     """Leg at a finite point x: contributes at tau = infinity."""
     phi = f.phi
+    linear = PolarPart.make(1, [(1, -x)])  # the -x*t part of the exponent: -x*tau
     if phi.is_zero():
-        polar = PolarPart.make(1, [(1, -x)])
-        return ExpFactor(polar, f.reg)
-    p = phi.ram
-    q = phi.terms[0][0]
-    polar = _critical_value_polar(list(phi.terms), p, -(p + q))
-    # the -x*t part of the exponent: -x*tau
-    return ExpFactor(polar_add(polar, PolarPart.make(1, [(1, -x)])), f.reg)
+        return ExpFactor(linear, f.reg)
+    g = _critical_value_polar(list(phi.terms), f.reg, phi.ram, -(phi.ram + phi.terms[0][0]))
+    return ExpFactor(polar_add(g.phi, linear), g.reg)
 
 
 def inf_to_inf(f: ExpFactor) -> ExpFactor:
@@ -140,9 +138,7 @@ def inf_to_inf(f: ExpFactor) -> ExpFactor:
     if slope(phi) <= 1:
         raise TransformsError(f"inf_to_inf needs slope > 1, got {slope(phi)}")
     p = phi.ram
-    q = phi.terms[0][0]
-    polar = _critical_value_polar(list(phi.terms), -p, p - q)
-    return ExpFactor(polar, f.reg)
+    return _critical_value_polar(list(phi.terms), f.reg, -p, p - phi.terms[0][0])
 
 
 def inf_to_finite(f: ExpFactor) -> tuple[CycloNum, ExpFactor]:
@@ -158,9 +154,7 @@ def inf_to_finite(f: ExpFactor) -> tuple[CycloNum, ExpFactor]:
     tail = [(j, a) for j, a in phi.terms if j != p]
     if not tail:
         return c, ExpFactor(PolarPart.zero(), f.reg)
-    qt = max(j for j, _ in tail)
-    polar = _critical_value_polar(tail, -p, p - qt)
-    return c, ExpFactor(polar, f.reg)
+    return c, _critical_value_polar(tail, f.reg, -p, p - tail[0][0])
 
 
 # -- vanishing cycles and reconstruction -----------------------------
@@ -218,9 +212,16 @@ def reconstruct_type(vanishing: list[ExpFactor], r: int) -> FormalType:
 # -- global Fourier transform ----------------------------------------
 
 
+def _exponent_sum(P: Problem) -> Fraction:
+    return sum((t.exponent_sum for _, t in P.points), Fraction(0))
+
+
 def fourier_global(P: Problem) -> Problem:
     """Fourier transform of the formal data of an irreducible middle
     extension, localized at infinity."""
+    total = _exponent_sum(P)
+    if total.denominator != 1:
+        raise TransformsError(f"exponent sum {total} is not an integer: no connection has these data")
     inf_factors: list[ExpFactor] = []
     vanishing: list[tuple[Location, ExpFactor]] = []
     for loc, t in P.points:
@@ -246,7 +247,10 @@ def fourier_global(P: Problem) -> Problem:
     new_points = [(INF, FormalType.make(inf_factors))]
     new_points += [(loc, reconstruct_type(gs, rp)) for loc, gs in groups.items()]
     n2 = math.lcm(P.N, *(quasi_order(t) for _, t in new_points))
-    return Problem.make(n2, new_points)
+    out = Problem.make(n2, new_points)
+    if _exponent_sum(out).denominator != 1:
+        raise InvariantViolation(f"Fourier transform breaks the Fuchs relation: exponent sum {_exponent_sum(out)}")
+    return out
 
 
 def negate_polar(phi: PolarPart) -> PolarPart:

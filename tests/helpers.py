@@ -58,12 +58,14 @@ def hypergeometric() -> Problem:
 
 
 def kloosterman() -> Problem:
-    """Rank-2 problem: unipotent J2 at 0, El(t^{-1/2}) at infinity."""
+    """Katz's local data of Kl_2 (Katz 1988): unipotent J2 at 0, and at
+    infinity El(t^{-1/2}) with exponents 1/4 and 3/4, so the exponents sum
+    to the integer 1 (the Fuchs relation)."""
     return Problem.make(
-        1,
+        4,
         [
             (Location.of(0), reg((0, 2))),
-            (INF, el(2, {1: 1}, (0, 1))),
+            (INF, el(2, {1: 1}, (F(1, 4), 1))),
         ],
     )
 
@@ -105,8 +107,8 @@ RAMIFIED_SLICES = [
 
 
 def fourier_battery() -> list[Problem]:
-    """50 admissible problems, mixed tame/irregular, rank <= 3, integral
-    global exponent sum (realizable determinant)."""
+    """42 admissible problems, mixed tame/irregular, rank <= 3, integral
+    global exponent sum (the Fuchs relation: realizable determinant)."""
     battery: list[Problem] = []
     # rank 1, tame, three points
     for a, b in [(F(1, 3), F(1, 4)), (F(1, 2), F(1, 3)), (F(2, 3), F(1, 6)), (F(1, 5), F(2, 5))]:
@@ -176,26 +178,6 @@ def fourier_battery() -> list[Problem]:
         )
     )
     battery.append(kloosterman())
-    # rank 2, irregular factor plus regular factor at a finite point
-    for c in (1, 2):
-        for a in (F(1, 4), F(1, 2)):
-            battery.append(
-                Problem.make(
-                    4,
-                    [
-                        (
-                            Location.of(0),
-                            FormalType.make(
-                                [
-                                    (PolarPart.unramified({1: c}), RegularPart.single(F(1, 4))),
-                                    (PolarPart.zero(), RegularPart.single(a)),
-                                ]
-                            ),
-                        ),
-                        (INF, reg(((F(3, 4) - a) % 1, 1), ((-a) % 1 if a else F(1, 4), 1))),
-                    ],
-                )
-            )
     # rank 2, ramified at infinity, slope 3/2
     for c in (1, -1):
         battery.append(
@@ -207,36 +189,6 @@ def fourier_battery() -> list[Problem]:
                 ],
             )
         )
-    # rank 2, two slope-2 factors at infinity
-    battery.append(
-        Problem.make(
-            2,
-            [
-                (Location.of(0), reg((F(1, 2), 2))),
-                (
-                    INF,
-                    FormalType.make(
-                        [
-                            (PolarPart.unramified({2: 1}), RegularPart.single(0)),
-                            (PolarPart.unramified({2: -1}), RegularPart.single(F(1, 2))),
-                        ]
-                    ),
-                ),
-            ],
-        )
-    )
-    # rank 3, tame
-    for a, b, c in [(F(1, 3), F(1, 4), F(1, 5)), (F(1, 2), F(1, 3), F(1, 7))]:
-        battery.append(
-            Problem.make(
-                420,
-                [
-                    (Location.of(0), reg((a, 1), (0, 2))),
-                    (Location.of(1), reg((b, 1), (0, 1), (F(1, 2), 1))),
-                    (INF, reg((c, 1), (F(2, 3), 1), (F(3, 4), 1))),
-                ],
-            )
-        )
     # rank 3, ramification 3 at infinity (slope 4/3)
     battery.append(
         Problem.make(
@@ -244,25 +196,6 @@ def fourier_battery() -> list[Problem]:
             [
                 (Location.of(0), reg((F(1, 3), 1), (F(2, 3), 1), (0, 1))),
                 (INF, el(3, {4: 1}, (0, 1))),
-            ],
-        )
-    )
-    # rank 3, irregular finite point plus a tame point
-    battery.append(
-        Problem.make(
-            6,
-            [
-                (
-                    Location.of(0),
-                    FormalType.make(
-                        [
-                            (PolarPart.unramified({1: 3}), RegularPart.single(F(1, 6))),
-                            (PolarPart.zero(), RegularPart.make([(F(1, 2), 2)])),
-                        ]
-                    ),
-                ),
-                (Location.of(1), reg((F(1, 3), 1), (0, 2))),
-                (INF, reg((F(1, 6), 1), (F(5, 6), 1), (0, 1))),
             ],
         )
     )
@@ -300,7 +233,7 @@ def fourier_battery() -> list[Problem]:
                 ],
             )
         )
-    # pad to 50 with rank-1 tame seeds over sevenths
+    # 13 rank-1 tame seeds over sevenths
     pairs = [(F(k, 7), F(m, 7)) for k in range(1, 5) for m in range(1, 5)][:13]
     for a, b in pairs:
         battery.append(
@@ -313,7 +246,94 @@ def fourier_battery() -> list[Problem]:
                 ],
             )
         )
-    assert len(battery) == 50
+    assert len(battery) == 42
+    return battery
+
+
+def non_realizable_battery() -> list[Problem]:
+    """9 problems of the same kinds whose exponents sum to a non-integer:
+    no connection has these data, and the transforms reject them."""
+    battery: list[Problem] = []
+    # rank 2, irregular factor plus regular factor at a finite point
+    for c in (1, 2):
+        for a in (F(1, 4), F(1, 2)):
+            battery.append(
+                Problem.make(
+                    4,
+                    [
+                        (
+                            Location.of(0),
+                            FormalType.make(
+                                [
+                                    (PolarPart.unramified({1: c}), RegularPart.single(F(1, 4))),
+                                    (PolarPart.zero(), RegularPart.single(a)),
+                                ]
+                            ),
+                        ),
+                        (INF, reg(((F(3, 4) - a) % 1, 1), ((-a) % 1 if a else F(1, 4), 1))),
+                    ],
+                )
+            )
+    # rank 2, two slope-2 factors at infinity
+    battery.append(
+        Problem.make(
+            2,
+            [
+                (Location.of(0), reg((F(1, 2), 2))),
+                (
+                    INF,
+                    FormalType.make(
+                        [
+                            (PolarPart.unramified({2: 1}), RegularPart.single(0)),
+                            (PolarPart.unramified({2: -1}), RegularPart.single(F(1, 2))),
+                        ]
+                    ),
+                ),
+            ],
+        )
+    )
+    # rank 3, tame
+    for a, b, c in [(F(1, 3), F(1, 4), F(1, 5)), (F(1, 2), F(1, 3), F(1, 7))]:
+        battery.append(
+            Problem.make(
+                420,
+                [
+                    (Location.of(0), reg((a, 1), (0, 2))),
+                    (Location.of(1), reg((b, 1), (0, 1), (F(1, 2), 1))),
+                    (INF, reg((c, 1), (F(2, 3), 1), (F(3, 4), 1))),
+                ],
+            )
+        )
+    # rank 3, irregular finite point plus a tame point
+    battery.append(
+        Problem.make(
+            6,
+            [
+                (
+                    Location.of(0),
+                    FormalType.make(
+                        [
+                            (PolarPart.unramified({1: 3}), RegularPart.single(F(1, 6))),
+                            (PolarPart.zero(), RegularPart.make([(F(1, 2), 2)])),
+                        ]
+                    ),
+                ),
+                (Location.of(1), reg((F(1, 3), 1), (0, 2))),
+                (INF, reg((F(1, 6), 1), (F(5, 6), 1), (0, 1))),
+            ],
+        )
+    )
+    # the Kloosterman data with exponents 0 and 1/2 at infinity: sum 1/2
+    battery.append(
+        Problem.make(
+            2,
+            [
+                (Location.of(0), reg((0, 2))),
+                (INF, el(2, {1: 1}, (0, 1))),
+            ],
+        )
+    )
+    assert len(battery) == 9
     return battery
 
 

