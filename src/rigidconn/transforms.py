@@ -9,10 +9,12 @@ Each stationary-phase leg writes s = d(phi)/dt on the cover t = z^e,
 and the critical value phi - t*s as one Laurent polynomial: a*z^(-j)
 in phi becomes (1 + j/e)*a*z^(-j).  One pullback_polar call reads the
 polar part of the critical value at u solving s(u) = w^m, in closed
-form; the output ramification is |m|.  The regular part R goes with it
-as R tensor L_{(-1)^q}, q the leading numerator of phi, read on the
-output cover (Sabbah 2008): a block (a, k) becomes ((|e|*a + q/2)/|m|,
-k).  A slope-zero factor at a finite point passes R through unchanged.
+form; the output ramification is |m|.  That polar half reads only the
+terms of phi, e and m, not the point or R, so it is memoized on them
+(a raise is not).  The regular part R goes with it as R tensor
+L_{(-1)^q}, q the leading numerator of phi, read on the output cover
+(Sabbah 2008): a block (a, k) becomes ((|e|*a + q/2)/|m|, k), on every
+call.  A slope-zero factor at a finite point passes R through unchanged.
 fourier_global rejects data whose exponent sum is not an integer (no
 connection has them) and checks that its output keeps the sum integral.
 """
@@ -115,11 +117,19 @@ def _critical_value_polar(phi_terms, reg: RegularPart, e: int, m: int) -> ExpFac
     finite point, -p at infinity): a*z^(-j) in phi gives s the term
     -(j/e)*a*z^(-j-e), phi - t*s (1 + j/e)*a*z^(-j).  A block (a, k) of reg
     becomes ((|e|*a + q/2)/|m|, k), q the leading numerator of phi."""
-    s = Lser({-j - e: cmul(a, Fraction(-j, e)) for j, a in phi_terms}, _BIG)
-    value = Lser({-j: cmul(a, 1 + Fraction(j, e)) for j, a in phi_terms}, _BIG)
     half_q = Fraction(phi_terms[0][0], 2)
     blocks = [((abs(e) * a + half_q) / abs(m), k) for a, k in reg.blocks]
-    return ExpFactor(PolarPart.make(abs(m), pullback_polar(s, m, value)), RegularPart.make(blocks))
+    return ExpFactor(_leg_polar(tuple(phi_terms), e, m), RegularPart.make(blocks))
+
+
+@lru_cache(maxsize=1024)
+def _leg_polar(terms: tuple, e: int, m: int) -> PolarPart:
+    """The polar half of _critical_value_polar.  It reads neither the
+    point's location nor its regular part, and coefficients compare and
+    hash by structure, so the key is exact; a raise is not memoized."""
+    s = Lser({-j - e: cmul(a, Fraction(-j, e)) for j, a in terms}, _BIG)
+    value = Lser({-j: cmul(a, 1 + Fraction(j, e)) for j, a in terms}, _BIG)
+    return PolarPart.make(abs(m), pullback_polar(s, m, value))
 
 
 def finite_to_inf(x: CycloNum, f: ExpFactor) -> ExpFactor:
@@ -128,7 +138,7 @@ def finite_to_inf(x: CycloNum, f: ExpFactor) -> ExpFactor:
     linear = PolarPart.make(1, [(1, -x)])  # the -x*t part of the exponent: -x*tau
     if phi.is_zero():
         return ExpFactor(linear, f.reg)
-    g = _critical_value_polar(list(phi.terms), f.reg, phi.ram, -(phi.ram + phi.terms[0][0]))
+    g = _critical_value_polar(phi.terms, f.reg, phi.ram, -(phi.ram + phi.terms[0][0]))
     return ExpFactor(polar_add(g.phi, linear), g.reg)
 
 
@@ -138,7 +148,7 @@ def inf_to_inf(f: ExpFactor) -> ExpFactor:
     if slope(phi) <= 1:
         raise TransformsError(f"inf_to_inf needs slope > 1, got {slope(phi)}")
     p = phi.ram
-    return _critical_value_polar(list(phi.terms), f.reg, -p, p - phi.terms[0][0])
+    return _critical_value_polar(phi.terms, f.reg, -p, p - phi.terms[0][0])
 
 
 def inf_to_finite(f: ExpFactor) -> tuple[CycloNum, ExpFactor]:

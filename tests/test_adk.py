@@ -155,7 +155,7 @@ def test_certificate_records_origin():
     assert problems_equal(cert.origin, P)
 
 
-def test_fourier_rank_disagreement_raises(fresh_mc_memo, monkeypatch):
+def test_fourier_rank_disagreement_raises(fresh_memos, monkeypatch):
     # the Fourier output rank is checked by a raise, not an assert, so
     # the check holds under python -O and replay reports it
     cert = run_adk(kloosterman())

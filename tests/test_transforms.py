@@ -12,13 +12,14 @@ import pytest
 
 import rigidconn
 from rigidconn import puiseux, transforms
+from rigidconn.adk import Certificate, Fourier, run_adk
 from rigidconn.cli import parse_loc, parse_polar, polar_str
 from rigidconn.cyclo import CycloNum
 from rigidconn.enumerate import enumerate_candidates
 from rigidconn.errors import RigidconnError
 from rigidconn.formal import INF, ExpFactor, FormalType, Location, Problem, RegularPart, monodromy_exponents, twist_local
 from rigidconn.linalg import mat
-from rigidconn.puiseux import PolarPart, slope
+from rigidconn.puiseux import PolarPart, SeriesNotCertified, slope
 from rigidconn.rigidity import rig_index
 from rigidconn.transforms import (
     InvariantViolation,
@@ -40,8 +41,10 @@ from rigidconn.transforms import (
 
 from helpers import (
     CENSUS_SLICES,
+    RAMIFIED_SLICES,
     F,
     el,
+    fourier_battery,
     hypergeometric,
     kloosterman,
     non_realizable_battery,
@@ -78,7 +81,7 @@ def _leg_at_zero(text):
     return finite_to_inf(ZERO, ExpFactor(parse_polar(text), RegularPart.single(0)))
 
 
-def test_leg_series_stay_cyclotomic(fresh_mc_memo, monkeypatch):
+def test_leg_series_stay_cyclotomic(fresh_memos, monkeypatch):
     # the leg's one root, rt(-3/2, 3), is taken after the polar part is
     # read, so no series that binomial_pow sees or returns carries it
     seen = []
@@ -188,7 +191,7 @@ def test_leg_outputs_are_pinned_in_both_directions(P, forward, inverse, blocks):
     assert problems_equal(fourier_global(fourier_inverse(P)), P)
 
 
-def test_non_realizable_data_are_rejected(fresh_mc_memo):
+def test_non_realizable_data_are_rejected(fresh_memos):
     # exponents that do not sum to an integer break the Fuchs relation:
     # every transform refuses them with a plain TransformsError
     for P in non_realizable_battery():
@@ -282,10 +285,10 @@ def test_mc_inverse():
     assert problems_equal(back, P)
 
 
-def _mc_outcome_of(P, chi):
-    """middle_convolution(P, chi), or the type and message of its raise."""
+def _outcome(transform, *args):
+    """transform(*args), or the type and message of its raise."""
     try:
-        return middle_convolution(P, chi)
+        return transform(*args)
     except RigidconnError as e:
         return type(e), str(e)
 
@@ -301,31 +304,31 @@ def _mc_cases():
     return cases
 
 
-def test_memoized_mc_gives_what_a_fresh_computation_gives(fresh_mc_memo):
+def test_memoized_mc_gives_what_a_fresh_computation_gives(fresh_memos):
     cases = _mc_cases()
     fresh = []
     for P, chi in cases:
-        fresh_mc_memo.cache_clear()
-        fresh.append(_mc_outcome_of(P, chi))
-    fresh_mc_memo.cache_clear()
-    filled = [_mc_outcome_of(P, chi) for P, chi in cases]
-    misses = fresh_mc_memo.cache_info().misses
-    memoized = [_mc_outcome_of(P, chi + 1) for P, chi in cases]  # chi is read mod 1
+        transforms._mc_outcome.cache_clear()
+        fresh.append(_outcome(middle_convolution, P, chi))
+    transforms._mc_outcome.cache_clear()
+    filled = [_outcome(middle_convolution, P, chi) for P, chi in cases]
+    misses = transforms._mc_outcome.cache_info().misses
+    memoized = [_outcome(middle_convolution, P, chi + 1) for P, chi in cases]  # chi is read mod 1
     assert fresh == filled == memoized
-    assert fresh_mc_memo.cache_info().misses == misses
+    assert transforms._mc_outcome.cache_info().misses == misses
     assert any(isinstance(o, Problem) for o in fresh) and any(isinstance(o, tuple) for o in fresh)
 
 
-def test_memoized_mc_raise_is_a_fresh_instance_each_time(fresh_mc_memo):
+def test_memoized_mc_raise_is_a_fresh_instance_each_time(fresh_memos):
     vanishing = (TransformsError, "vanishing data exceed the ambient rank")
-    P, chi = next(c for c in _mc_cases() if _mc_outcome_of(*c) == vanishing)
-    fresh_mc_memo.cache_clear()
+    P, chi = next(c for c in _mc_cases() if _outcome(middle_convolution, *c) == vanishing)
+    transforms._mc_outcome.cache_clear()
     raised = []
     for _ in range(3):
         with pytest.raises(TransformsError, match=vanishing[1]) as info:
             middle_convolution(P, chi)
         raised.append(info.value)
-    assert fresh_mc_memo.cache_info()[:2] == (2, 1)  # hits, misses
+    assert transforms._mc_outcome.cache_info()[:2] == (2, 1)  # hits, misses
     assert len({id(e) for e in raised}) == 3
     assert len({type(e) for e in raised}) == 1 and len({str(e) for e in raised}) == 1
     # a re-raised stored instance would carry one more frame per raise
@@ -335,6 +338,70 @@ def test_memoized_mc_raise_is_a_fresh_instance_each_time(fresh_mc_memo):
 
 def test_mc_memo_is_bounded():
     assert transforms._mc_outcome.cache_info().maxsize == 1024
+
+
+def _fourier_cases():
+    """fourier_battery() and both ends of every Fourier step of the
+    certificates of the three small ramified slices."""
+    cases = fourier_battery()
+    for _, locs, pool, N, r in RAMIFIED_SLICES[:3]:
+        for P in enumerate_candidates(locs, pool, N, r):
+            if rig_index(P) != 2:
+                continue
+            try:
+                cert = run_adk(P)
+            except TransformsError:
+                continue
+            if not isinstance(cert, Certificate):
+                continue
+            cur = cert.origin
+            for s in cert.steps:
+                nxt = s.apply(cur)
+                if isinstance(s, Fourier):
+                    cases += [cur, nxt]
+                cur = nxt
+    return cases
+
+
+def test_memoized_legs_give_what_fresh_legs_give(fresh_memos):
+    calls = [(transform, P) for P in _fourier_cases() for transform in (fourier_global, fourier_inverse)]
+    fresh = []
+    for transform, P in calls:
+        transforms._leg_polar.cache_clear()
+        fresh.append(_outcome(transform, P))
+    transforms._leg_polar.cache_clear()
+    filled = [_outcome(transform, P) for transform, P in calls]
+    misses = transforms._leg_polar.cache_info().misses
+    memoized = [_outcome(transform, P) for transform, P in calls]
+    assert fresh == filled == memoized
+    assert transforms._leg_polar.cache_info().misses == misses
+    assert len(calls) > 2 * len(fourier_battery()) and all(isinstance(o, Problem) for o in fresh)
+
+
+def test_one_polar_part_under_two_regular_parts_is_one_leg(fresh_memos):
+    # the polar half reads neither the point nor its regular part; the
+    # blocks (2*a + 1/2)/3 are worked out for each factor
+    phi = PolarPart.make(2, [(1, ONE)])
+    g0 = finite_to_inf(ZERO, ExpFactor(phi, RegularPart.single(0)))
+    g1 = finite_to_inf(ONE, ExpFactor(phi, RegularPart.single(F(1, 4))))
+    assert transforms._leg_polar.cache_info()[:2] == (1, 1)  # hits, misses
+    assert g0.reg == RegularPart.single(F(1, 6)) and g1.reg == RegularPart.single(F(1, 3))
+    assert g0.phi == puiseux.polar_add(g1.phi, PolarPart.unramified({1: ONE}))
+
+
+def test_a_leg_raise_is_not_memoized(fresh_memos, monkeypatch):
+    power = puiseux.binomial_pow
+    # (1 + h)^(1/m) now comes one order short of what the legs read
+    monkeypatch.setattr(puiseux, "binomial_pow", lambda h, e, order: power(h, e, order - 1))
+    f = kloosterman().at(INF).factors[0]
+    for _ in range(3):
+        with pytest.raises(SeriesNotCertified, match="under-resolved"):
+            inf_to_finite(f)
+    assert transforms._leg_polar.cache_info()[1:] == (3, 1024, 0)  # misses, maxsize, currsize
+
+
+def test_leg_memo_is_bounded():
+    assert transforms._leg_polar.cache_info().maxsize == 1024
 
 
 def test_tuple_formal_data_scalar():
